@@ -6,7 +6,9 @@
 // the batched path is the production PredictSeconds/PredictBatch/Train
 // code. The naive inference baseline loads the SAME checkpoint bytes as
 // the production model, so the bench also acts as a bit-equivalence gate:
-// it exits non-zero if any prediction differs. Emits machine-readable
+// it exits non-zero if any prediction differs. It also counts the GCN
+// rows the receptive-field-pruned inference computes on the batch against
+// the full node x layer grid (`gcn_rows`). Emits machine-readable
 // BENCH_global_hot_path.json in the working directory.
 //
 // STAGE_BENCH_FAST=1 shrinks the workload for CI smoke runs.
@@ -28,6 +30,8 @@
 #include "stage/common/thread_pool.h"
 #include "stage/fleet/fleet.h"
 #include "stage/global/global_model.h"
+#include "stage/nn/tree_batch.h"
+#include "stage/nn/tree_gcn.h"
 #include "stage/plan/featurizer.h"
 
 namespace {
@@ -759,6 +763,44 @@ int main() {
               queries.size(), naive_plans_per_sec, batched_plans_per_sec,
               batch_speedup, ThreadPool::Shared().num_threads());
 
+  // -- Receptive-field pruning ---------------------------------------
+  // Predict paths run the GCN over a level-order forest, where layer l
+  // computes only nodes of depth <= L-1-l. Count the GEMM rows that
+  // actually ran on the batch above against the full node x layer grid,
+  // with the production checkpoint and batch layout.
+  std::istringstream gcn_stream(checkpoint.str());
+  nn::TreeGcn gcn;
+  if (!ReadHeader(gcn_stream, 0x53474d4c, 1) || !gcn.Load(gcn_stream)) {
+    std::fprintf(stderr, "cannot parse the GCN from the checkpoint\n");
+    return 1;
+  }
+  nn::TreeBatch forest;
+  forest.Clear(plan::kNodeFeatureDim);
+  std::vector<float> node_features;
+  for (const global::GlobalQuery& query : queries) {
+    const plan::Plan& plan = *query.plan;
+    plan::NodeFeaturesInto(plan, &node_features);
+    forest.AddTree(node_features.data(), plan.node_count(),
+                   [&plan](int32_t i) -> const std::vector<int32_t>& {
+                     return plan.node(i).children;
+                   });
+  }
+  forest.ToLevelOrder();
+  nn::TreeGcn::Workspace gcn_ws;
+  gcn.ForwardBatch(forest, &gcn_ws);
+  size_t computed_rows = 0;
+  for (const int rows : gcn_ws.layer_rows) {
+    computed_rows += static_cast<size_t>(rows);
+  }
+  const size_t total_rows = static_cast<size_t>(forest.num_nodes()) *
+                            static_cast<size_t>(config.num_layers);
+  const double computed_frac =
+      static_cast<double>(computed_rows) / static_cast<double>(total_rows);
+  std::printf("gcn rows (%d plans, %d nodes): computed %zu of %zu "
+              "node-layer rows (%.1f%%)\n",
+              forest.num_trees(), forest.num_nodes(), computed_rows,
+              total_rows, 100.0 * computed_frac);
+
   // -- Allocations per predict ----------------------------------------
   const plan::Plan* probe_plan = eval_plans[0];
   // Warm the thread-local scratch before counting.
@@ -803,6 +845,8 @@ int main() {
                "  \"batch\": {\"plans\": %zu, "
                "\"naive_plans_per_sec\": %.1f, "
                "\"batched_plans_per_sec\": %.1f, \"speedup\": %.3f},\n"
+               "  \"gcn_rows\": {\"computed\": %zu, \"total\": %zu, "
+               "\"computed_frac\": %.4f},\n"
                "  \"allocations_per_predict\": "
                "{\"naive\": %.2f, \"batched\": %.2f}\n"
                "}\n",
@@ -813,7 +857,8 @@ int main() {
                baseline.p99_ns, baseline.mean_ns, batched.p50_ns,
                batched.p99_ns, batched.mean_ns, single_plan_speedup,
                queries.size(), naive_plans_per_sec, batched_plans_per_sec,
-               batch_speedup, naive_allocs, batched_allocs);
+               batch_speedup, computed_rows, total_rows, computed_frac,
+               naive_allocs, batched_allocs);
   std::fclose(json);
   std::printf("wrote BENCH_global_hot_path.json\n");
   return 0;

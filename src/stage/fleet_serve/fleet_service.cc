@@ -234,16 +234,25 @@ std::shared_ptr<TenantStack> FleetService::ActivateLocked(
     entry.has_parked = false;
     latency_slot = kActivationFromParked;
   } else {
-    std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
-    if (has_snapshot_ && snapshot_.Contains(entry.id)) {
-      // The whole point of the indexed layout: ONE tenant's payload is
-      // seeked and read; the rest of the fleet file is never touched.
-      std::string payload;
-      std::string error;
-      bool ok = snapshot_.ReadTenant(entry.id, &payload, &error);
-      STAGE_CHECK_MSG(ok, error.c_str());
+    std::string payload;
+    bool from_file = false;
+    {
+      std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
+      if (has_snapshot_ && snapshot_.Contains(entry.id)) {
+        // The whole point of the indexed layout: ONE tenant's payload is
+        // seeked and read; the rest of the fleet file is never touched.
+        std::string error;
+        const bool ok = snapshot_.ReadTenant(entry.id, &payload, &error);
+        STAGE_CHECK_MSG(ok, error.c_str());
+        from_file = true;
+      }
+    }
+    // Parse outside snapshot_mutex_: it guards only the reader's seek
+    // cursor, so activations of different tenants decode side by side.
+    if (from_file) {
       std::istringstream in(payload);
-      ok = stack->LoadState(in, &error);
+      std::string error;
+      const bool ok = stack->LoadState(in, &error);
       STAGE_CHECK_MSG(ok, error.c_str());
       latency_slot = kActivationFromFile;
     }

@@ -230,6 +230,9 @@ const float* GlobalModel::ForwardPrepared(Scratch& scratch,
   const int num_trees = scratch.batch.num_trees();
   const int h = config_.hidden_dim;
   const int concat_dim = h + kSystemFeatureDim;
+  // Inference layout: the GCN then computes only each root's receptive
+  // field, with roots bit-identical to the full pass (nn/tree_gcn.h).
+  scratch.batch.ToLevelOrder();
   const float* roots =
       gcn_.ForwardBatch(scratch.batch, &scratch.gcn_ws, /*train=*/false,
                         nullptr, pool);

@@ -113,7 +113,8 @@ class GlobalModel {
   double PredictSecondsFromExample(const GlobalExample& example) const;
 
   // Batched PredictSeconds: featurizes every query once, then runs ONE
-  // level-order GCN pass over the whole forest and one batched head pass.
+  // level-order GCN pass over the whole forest (each layer only over the
+  // nodes some root can still see) and one batched head pass.
   // out_seconds[i] is bit-for-bit identical to
   // PredictSeconds(*queries[i].plan, instance, queries[i].concurrent_queries)
   // for every batch size; `pool` only fans out the GEMMs. Requires
@@ -136,9 +137,10 @@ class GlobalModel {
   static Scratch& TlsScratch();
 
   double ForwardTarget(const GlobalExample& example) const;
-  // Shared tail of every predict path: with scratch.batch built, runs the
-  // batched GCN + head in eval mode and returns the head output
-  // [num_trees x 1] inside scratch. `system_rows` is
+  // Shared tail of every predict path: with scratch.batch built
+  // (tree-major, by AddTree), re-lays it out in level order, runs the
+  // receptive-field-pruned GCN + head in eval mode and returns the head
+  // output [num_trees x 1] inside scratch. `system_rows` is
   // [num_trees x kSystemFeatureDim].
   const float* ForwardPrepared(Scratch& scratch, const float* system_rows,
                                ThreadPool* pool) const;

@@ -18,7 +18,7 @@ namespace stage::nn {
 //     PREVIOUS layer's activations (a node aggregates its children's
 //     layer-l features to compute layer l+1), there is no intra-layer
 //     ordering constraint at all — one GEMM per (layer, transform) covers
-//     every node of every tree at once.
+//     a whole row range of the forest at once.
 //   * BFS appends each parent's children consecutively, so a node's
 //     children occupy one contiguous slot range [child_start, child_start +
 //     child_count) — the child-mean aggregation streams contiguous rows
@@ -26,6 +26,17 @@ namespace stage::nn {
 // Children are appended in their original list order, so per-node
 // aggregation sums terms in exactly the order the naive single-tree walk
 // does (bit-for-bit identical results).
+//
+// Two layouts share those properties:
+//   * Tree-major (what AddTree builds): tree 0's BFS slots, then tree 1's,
+//     ... The training layout — backward's ascending-row gradient sums,
+//     and with them the trained bytes, are defined over it.
+//   * Level order (ToLevelOrder, the inference layout): one BFS from all
+//     roots at once, so slots run every root (slots 0..T-1), then every
+//     depth-1 node, then every depth-2 node, ... Each depth level is a
+//     contiguous slot range and the nodes of depth <= d form a row prefix
+//     (RowsThroughDepth). An L-layer GCN's root reads layer l only at
+//     depth <= L-1-l, so inference computes just that prefix per layer.
 //
 // The batch is reusable: Clear() keeps every buffer's capacity, so building
 // the same-shaped batch again allocates nothing.
@@ -39,6 +50,7 @@ class TreeBatch {
     child_start_.clear();
     child_count_.clear();
     roots_.clear();
+    level_end_.clear();
   }
 
   // Adds one tree rooted at node 0. `features` is row-major
@@ -49,6 +61,7 @@ class TreeBatch {
   void AddTree(const float* features, int num_nodes,
                ChildrenOf&& children_of) {
     STAGE_CHECK(num_nodes > 0);
+    STAGE_CHECK_MSG(level_end_.empty(), "AddTree after ToLevelOrder");
     const int32_t base = static_cast<int32_t>(child_start_.size());
     roots_.push_back(base);
     child_start_.resize(static_cast<size_t>(base) + num_nodes);
@@ -86,11 +99,27 @@ class TreeBatch {
             });
   }
 
+  // Re-lays the whole forest out in level order (see the class comment):
+  // one BFS from every root in tree order, appending each node's children
+  // in their list order, so child ranges stay contiguous and ordered and
+  // tree t's root lands in slot t. Call after the last AddTree; the next
+  // AddTree needs a Clear() first. Allocation-free once warm.
+  void ToLevelOrder();
+
+  // Rows [0, RowsThroughDepth(depth)) hold every node of depth <= `depth`
+  // (roots are depth 0): exactly those nodes in a level-order batch, and
+  // all rows in a tree-major one, where depths interleave.
+  int RowsThroughDepth(int depth) const {
+    STAGE_DCHECK(depth >= 0);
+    if (static_cast<size_t>(depth) >= level_end_.size()) return num_nodes();
+    return level_end_[static_cast<size_t>(depth)];
+  }
+
   int feature_dim() const { return feature_dim_; }
   int num_nodes() const { return static_cast<int>(child_start_.size()); }
   int num_trees() const { return static_cast<int>(roots_.size()); }
 
-  // Node features, row-major [num_nodes x feature_dim], BFS slot order.
+  // Node features, row-major [num_nodes x feature_dim], in slot order.
   const float* features() const { return features_.data(); }
 
   // Slot of tree t's root.
@@ -111,7 +140,16 @@ class TreeBatch {
   std::vector<int32_t> child_start_;
   std::vector<int32_t> child_count_;
   std::vector<int32_t> roots_;
-  std::vector<int32_t> bfs_;  // Per-AddTree scratch (old indices, BFS order).
+  // Level order only: level_end_[d] = number of nodes of depth <= d (empty
+  // in the tree-major layout).
+  std::vector<int32_t> level_end_;
+  // Scratch: AddTree's BFS queue of old indices, then ToLevelOrder's queue
+  // of tree-major slots.
+  std::vector<int32_t> bfs_;
+  // ToLevelOrder's output buffers, swapped with the live ones.
+  std::vector<float> staged_features_;
+  std::vector<int32_t> staged_child_start_;
+  std::vector<int32_t> staged_child_count_;
 };
 
 }  // namespace stage::nn

@@ -57,6 +57,7 @@ const float* TreeGcn::ForwardBatch(const TreeBatch& batch, Workspace* ws,
   ws->acts.assign(num_layers + 1, nullptr);
   ws->aggs.assign(num_layers, nullptr);
   ws->masks.assign(num_layers, nullptr);
+  ws->layer_rows.assign(num_layers, 0);
   // The batch's gathered feature matrix IS layer 0 — read-only alias, no
   // copy. (The arena must not be reset between a batch build and Backward,
   // which Forward's structure guarantees.)
@@ -65,13 +66,17 @@ const float* TreeGcn::ForwardBatch(const TreeBatch& batch, Workspace* ws,
   for (int l = 0; l < num_layers; ++l) {
     const int in_dim = LayerInDim(l);
     const float* in = ws->acts[l];
+    // The rows this layer feeds to the root (tree_gcn.h). Their children
+    // have depth <= num_layers - l, all inside the previous layer's rows.
+    const int rows = batch.RowsThroughDepth(num_layers - 1 - l);
+    ws->layer_rows[l] = rows;
     // Child aggregation: one streaming sweep. Each node's children occupy a
     // contiguous slot range (tree_batch.h), appended in original child-list
     // order, so every node's sum matches the naive walk term for term.
     float* agg =
-        ws->arena.AllocZeroed(static_cast<size_t>(n) * in_dim);
+        ws->arena.AllocZeroed(static_cast<size_t>(rows) * in_dim);
     ws->aggs[l] = agg;
-    for (int s = 0; s < n; ++s) {
+    for (int s = 0; s < rows; ++s) {
       const int32_t count = batch.child_count(s);
       if (count == 0) continue;
       const float inv = 1.0f / static_cast<float>(count);
@@ -84,16 +89,16 @@ const float* TreeGcn::ForwardBatch(const TreeBatch& batch, Workspace* ws,
       for (int j = 0; j < in_dim; ++j) row[j] *= inv;
     }
 
-    // One GEMM per transform over every node of every tree: out = self(in),
-    // then out += child(agg) — the same z[j] + child_part[j] order as the
-    // naive walk.
-    float* out = ws->arena.Alloc(static_cast<size_t>(n) * h);
-    float* child_out = ws->arena.Alloc(static_cast<size_t>(n) * h);
+    // One GEMM per transform over the layer's rows of every tree: out =
+    // self(in), then out += child(agg) — the same z[j] + child_part[j]
+    // order as the naive walk.
+    float* out = ws->arena.Alloc(static_cast<size_t>(rows) * h);
+    float* child_out = ws->arena.Alloc(static_cast<size_t>(rows) * h);
     ws->acts[l + 1] = out;
-    self_[l].ForwardBatch(in, n, out, pool);
-    child_[l].ForwardBatch(agg, n, child_out, pool);
+    self_[l].ForwardBatch(in, rows, out, pool);
+    child_[l].ForwardBatch(agg, rows, child_out, pool);
 
-    const size_t count = static_cast<size_t>(n) * h;
+    const size_t count = static_cast<size_t>(rows) * h;
     if (masked) {
       const float scale = 1.0f / (1.0f - config_.dropout);
       float* mask = ws->arena.Alloc(count);
@@ -134,6 +139,10 @@ void TreeGcn::BackwardBatch(const float* droots, const TreeBatch& batch,
   const int n = ws.num_nodes;
   STAGE_CHECK(batch.num_nodes() == n);
   STAGE_CHECK(static_cast<int>(ws.acts.size()) == num_layers + 1);
+  // Layer rows only shrink with depth, so the last layer covering every
+  // row means every layer did.
+  STAGE_CHECK_MSG(ws.layer_rows.back() == n,
+                  "BackwardBatch after a pruned (level-order) forward");
 
   // dL/d acts[num_layers]: only root slots receive an external gradient.
   float* dcur = ws.arena.AllocZeroed(static_cast<size_t>(n) * h);

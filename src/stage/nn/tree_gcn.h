@@ -21,10 +21,19 @@ namespace stage::nn {
 // Execution is level-order batched (see tree_batch.h): because layer l+1
 // activations depend only on layer-l activations, every layer runs as one
 // child-aggregation sweep plus exactly two GEMMs (self and child
-// transforms) over ALL nodes of ALL trees in the batch — instead of
+// transforms) over a row prefix of the whole forest — instead of
 // 2 * num_nodes matrix-vector products. Results are bit-for-bit identical
 // to the naive per-node walk (the kernels keep each element's naive
 // accumulation order; aggregation sums children in their original order).
+//
+// The prefix is the root's receptive field. Only the root's layer-L row is
+// read, and a node's layer-(l+1) row reads its own and its children's
+// layer-l rows, so a depth-d node reaches the root only through layers
+// l <= L-1-d. Layer l therefore needs just the nodes of depth <= L-1-l,
+// which a level-order batch (the inference layout) stores as a row prefix;
+// the other rows are never computed and roots are bit-identical to a full
+// pass. A tree-major batch (the training layout) has no such prefix, so
+// every layer covers every row — which BackwardBatch requires.
 class TreeGcn {
  public:
   struct Config {
@@ -50,6 +59,9 @@ class TreeGcn {
     // Root representations, [num_trees x hidden_dim].
     float* roots = nullptr;
     int num_nodes = 0;
+    // layer_rows[l]: rows [0, layer_rows[l]) that layer l computed into
+    // aggs[l] / acts[l + 1] / masks[l]; rows past it were never written.
+    std::vector<int> layer_rows;
 
     // Single-tree convenience batch used by Forward/Backward.
     TreeBatch single;
@@ -76,9 +88,11 @@ class TreeGcn {
   // Level-order batched forward over a whole forest. Returns the root
   // representations, row-major [batch.num_trees() x hidden_dim], inside
   // `ws`. Each tree's root row is bit-for-bit identical to Forward on that
-  // tree alone. Dropout masks are drawn serially on the calling thread in
-  // slot-major order, so results are independent of `pool` (which only
-  // fans out the GEMMs).
+  // tree alone, in either batch layout. Layer l computes rows
+  // [0, batch.RowsThroughDepth(L-1-l)): the receptive field of a
+  // level-order batch, every row of a tree-major one. Dropout masks are
+  // drawn serially on the calling thread in slot-major order, so results
+  // are independent of `pool` (which only fans out the GEMMs).
   const float* ForwardBatch(const TreeBatch& batch, Workspace* ws,
                             bool train = false, Rng* rng = nullptr,
                             ThreadPool* pool = nullptr) const;
@@ -89,8 +103,10 @@ class TreeGcn {
                 Workspace& ws);
 
   // Batched backward: `droots` is [batch.num_trees() x hidden_dim] for the
-  // batch of the matching ForwardBatch. Gradient bytes are identical for
-  // any pool width, including none.
+  // batch of the matching ForwardBatch, which must have computed every row
+  // (a tree-major batch); after a pruned level-order forward it fails a
+  // STAGE_CHECK rather than read rows that were never computed. Gradient
+  // bytes are identical for any pool width, including none.
   void BackwardBatch(const float* droots, const TreeBatch& batch,
                      Workspace& ws, ThreadPool* pool = nullptr);
 

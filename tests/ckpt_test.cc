@@ -30,6 +30,7 @@
 #include "stage/local/training_pool.h"
 #include "stage/serve/prediction_service.h"
 #include "stage/serve/sharded_cache.h"
+#include "test_temp_dir.h"
 
 namespace stage::ckpt {
 namespace {
@@ -77,9 +78,7 @@ std::vector<core::QueryContext> MakeContexts(
   return contexts;
 }
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
+using testing_util::TempPath;
 
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -21,6 +20,7 @@
 #include "stage/fleet_serve/tenant_stack.h"
 #include "stage/obs/metrics.h"
 #include "stage/serve/prediction_service.h"
+#include "test_temp_dir.h"
 
 namespace stage::fleet_serve {
 namespace {
@@ -64,9 +64,7 @@ FleetServiceConfig DeterministicFleet() {
   return config;
 }
 
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using testing_util::TempPath;
 
 TEST(FleetServiceConfigTest, ValidateRejectsNonsense) {
   FleetServiceConfig config;
@@ -464,6 +462,66 @@ TEST(FleetSnapshotTest, SaveAttachActivateRoundTrip) {
   bool cold = false;
   restored.Predict(99, probes[0], &cold);  // Fresh activation, no payload.
   EXPECT_TRUE(cold);
+  std::remove(path.c_str());
+}
+
+// Cold activations of DIFFERENT tenants from one attached file run side by
+// side: the snapshot lock covers only the payload read, and each thread
+// decodes its own payload outside it. Every tenant must come back exactly
+// once, with the state it was saved with (run under STAGE_SANITIZE=thread
+// this also proves the read/decode split is race-free).
+TEST(FleetSnapshotTest, ConcurrentActivationsOfDistinctTenants) {
+  const std::string path = TempPath("fleet_snapshot_concurrent.sflt");
+  constexpr int kTenants = 4;
+  const fleet::InstanceTrace instance = MakeTrace(300);
+  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
+
+  FleetService original(DeterministicFleet());
+  for (TenantId t = 0; t < kTenants; ++t) {
+    original.RegisterTenant(t, {.instance = &instance.config});
+    // Tenant t sees a prefix of its own length, so payloads differ.
+    const size_t observed = contexts.size() - 40 * static_cast<size_t>(t);
+    for (size_t i = 0; i < observed; ++i) {
+      original.Observe(t, contexts[i], instance.trace[i].exec_seconds);
+    }
+  }
+  std::string error;
+  ASSERT_TRUE(original.SaveSnapshot(path, &error)) << error;
+
+  FleetService restored(DeterministicFleet());
+  for (TenantId t = 0; t < kTenants; ++t) {
+    restored.RegisterTenant(t, {.instance = &instance.config});
+  }
+  ASSERT_TRUE(restored.AttachSnapshot(path, &error)) << error;
+
+  const fleet::InstanceTrace probe_trace = MakeTrace(20, /*seed=*/78);
+  const std::vector<core::QueryContext> probes = MakeContexts(probe_trace);
+  std::vector<std::vector<double>> got(kTenants);
+  std::vector<int> cold_flags(kTenants, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (TenantId t = 0; t < kTenants; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kTenants) std::this_thread::yield();
+      bool cold = false;
+      for (const core::QueryContext& probe : probes) {
+        got[t].push_back(restored.Predict(t, probe, &cold).seconds);
+        cold_flags[t] += cold ? 1 : 0;
+        cold = false;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(restored.cold_activations(), static_cast<uint64_t>(kTenants));
+  for (TenantId t = 0; t < kTenants; ++t) {
+    EXPECT_EQ(cold_flags[t], 1) << "tenant " << t;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      EXPECT_EQ(got[t][i], original.Predict(t, probes[i]).seconds)
+          << "tenant " << t << " probe " << i;
+    }
+  }
   std::remove(path.c_str());
 }
 

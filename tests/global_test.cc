@@ -1,11 +1,18 @@
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stage/common/serialize.h"
 #include "stage/fleet/fleet.h"
 #include "stage/global/global_model.h"
 #include "stage/metrics/error_metrics.h"
+#include "stage/nn/mlp.h"
+#include "stage/nn/tree_batch.h"
+#include "stage/nn/tree_gcn.h"
+#include "stage/plan/featurizer.h"
 
 namespace stage::global {
 namespace {
@@ -210,19 +217,65 @@ TEST(GlobalModelTest, PredictBatchBitEqualsPredictSeconds) {
                                          event.concurrent_queries,
                                          event.exec_seconds));
   }
-  const GlobalModel model = GlobalModel::Train(examples, FastConfig());
+  const GlobalModelConfig config = FastConfig();
+  const GlobalModel model = GlobalModel::Train(examples, config);
 
+  // Predict paths prune every layer to the nodes a root can still see, so
+  // the batch must hold plans whose GCN depth (root = 0, Plan::Depth() - 1)
+  // lies below, at and beyond num_layers.
   std::vector<GlobalQuery> queries;
+  int deep = 0;
+  int shallow = 0;
   for (int i = 0; i < 60; ++i) {
     const auto& event = fleet[1].trace[i];
     queries.push_back({&event.plan, event.concurrent_queries});
+    const int depth = event.plan.Depth() - 1;
+    deep += depth > config.num_layers ? 1 : 0;
+    shallow += depth <= config.num_layers ? 1 : 0;
   }
+  ASSERT_GT(deep, 0);
+  ASSERT_GT(shallow, 0);
   std::vector<double> batched(queries.size(), -1.0);
   model.PredictBatch(queries, fleet[1].config, batched);
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(batched[i],
               model.PredictSeconds(*queries[i].plan, fleet[1].config,
                                    queries[i].concurrent_queries))
+        << "query " << i;
+  }
+
+  // Unpruned reference: the same checkpoint run as a tree-major forest,
+  // whose forward computes every node at every layer.
+  std::stringstream checkpoint;
+  model.Save(checkpoint);
+  ASSERT_TRUE(ReadHeader(checkpoint, 0x53474d4c, 1));  // "SGML" v1.
+  nn::TreeGcn gcn;
+  nn::Mlp head;
+  ASSERT_TRUE(gcn.Load(checkpoint));
+  ASSERT_TRUE(head.Load(checkpoint));
+  nn::TreeBatch full;
+  full.Clear(plan::kNodeFeatureDim);
+  for (const GlobalQuery& query : queries) {
+    const plan::Plan& plan = *query.plan;
+    const std::vector<float> features = plan::NodeFeatures(plan);
+    full.AddTree(features.data(), plan.node_count(),
+                 [&plan](int32_t i) -> const std::vector<int32_t>& {
+                   return plan.node(i).children;
+                 });
+  }
+  nn::TreeGcn::Workspace gcn_ws;
+  const float* roots = gcn.ForwardBatch(full, &gcn_ws);
+  ASSERT_EQ(gcn_ws.layer_rows.back(), full.num_nodes());
+  const int h = config.hidden_dim;
+  nn::Mlp::Workspace head_ws;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::vector<float> concat(roots + i * h, roots + (i + 1) * h);
+    const std::vector<float> system = SystemFeatures(
+        fleet[1].config, *queries[i].plan, queries[i].concurrent_queries);
+    concat.insert(concat.end(), system.begin(), system.end());
+    const double target = head.Forward(concat.data(), &head_ws)[0];
+    EXPECT_EQ(batched[i],
+              std::max(0.0, std::expm1(std::clamp(target, 0.0, 14.0))))
         << "query " << i;
   }
 

@@ -612,11 +612,16 @@ TEST(TreeGcnTest, ForwardBitEqualsNaiveReference) {
 
   std::vector<std::vector<std::vector<int32_t>>> shapes;
   shapes.push_back({{}});        // Single node.
+  shapes.push_back(Chain(3));    // Depth 2 < num_layers.
+  shapes.push_back(Chain(4));    // Depth 3 = num_layers.
   shapes.push_back(Chain(12));   // Deeper than num_layers.
   shapes.push_back(Star(32));    // Wide fan-out.
   for (const int n : {2, 7, 19, 40}) shapes.push_back(RandomTree(n, rng));
 
   TreeGcn::Workspace ws;
+  TreeBatch forest;
+  forest.Clear(6);
+  std::vector<float> all_expected;
   for (size_t s = 0; s < shapes.size(); ++s) {
     const auto& children = shapes[s];
     const int n = static_cast<int>(children.size());
@@ -626,7 +631,28 @@ TEST(TreeGcnTest, ForwardBitEqualsNaiveReference) {
     const std::vector<float> expected = naive.Forward(feats.data(), children);
     EXPECT_TRUE(BitEqual(expected.data(), root, expected.size()))
         << "shape " << s << " (" << n << " nodes)";
+    forest.AddTree(feats.data(), n, children);
+    all_expected.insert(all_expected.end(), expected.begin(), expected.end());
   }
+
+  // The same trees as one level-order forest, the inference layout: each
+  // layer computes only the nodes a root can still see, the last layer
+  // only the roots, and every root still matches the naive walk.
+  const int num_nodes = forest.num_nodes();
+  forest.ToLevelOrder();
+  const float* roots = gcn.ForwardBatch(forest, &ws);
+  EXPECT_TRUE(BitEqual(all_expected.data(), roots, all_expected.size()));
+  for (int l = 0; l < 3; ++l) {
+    EXPECT_EQ(ws.layer_rows[static_cast<size_t>(l)],
+              forest.RowsThroughDepth(2 - l));
+  }
+  EXPECT_LT(ws.layer_rows[0], num_nodes);
+  EXPECT_EQ(ws.layer_rows[2], forest.num_trees());
+  ThreadPool pool(3);
+  TreeGcn::Workspace pool_ws;
+  const float* pooled =
+      gcn.ForwardBatch(forest, &pool_ws, false, nullptr, &pool);
+  EXPECT_TRUE(BitEqual(all_expected.data(), pooled, all_expected.size()));
 }
 
 TEST(TreeGcnTest, ForwardBatchBitEqualsPerTreeForward) {
@@ -726,6 +752,69 @@ TEST(TreeGcnTest, BackwardBatchBitEqualAcrossPoolWidths) {
   }
 }
 
+TEST(TreeBatchTest, LevelOrderPutsRootsFirstAndDepthsInPrefixes) {
+  // Tree 0: 0 -> {1, 2}, 2 -> {3}. Tree 1: single node. Tree 2: chain of 3.
+  const std::vector<std::vector<std::vector<int32_t>>> shapes = {
+      {{1, 2}, {}, {3}, {}}, {{}}, Chain(3)};
+  TreeBatch batch;
+  batch.Clear(1);
+  float next = 0.0f;
+  for (const auto& children : shapes) {
+    std::vector<float> f(children.size());
+    for (float& v : f) v = next++;  // Feature = global tree-major index.
+    batch.AddTree(f.data(), static_cast<int>(children.size()), children);
+  }
+  EXPECT_EQ(batch.RowsThroughDepth(0), 8);  // Tree-major: every row.
+  batch.ToLevelOrder();
+
+  // Roots, then depth 1 (tree 0's {1, 2}, tree 2's second node), then
+  // depth 2 (tree 0's 3, tree 2's third node).
+  const std::vector<float> expected = {0, 4, 5, 1, 2, 6, 3, 7};
+  for (int s = 0; s < 8; ++s) {
+    EXPECT_EQ(batch.features()[s], expected[static_cast<size_t>(s)])
+        << "slot " << s;
+  }
+  for (int t = 0; t < 3; ++t) EXPECT_EQ(batch.root_slot(t), t);
+  EXPECT_EQ(batch.RowsThroughDepth(0), 3);
+  EXPECT_EQ(batch.RowsThroughDepth(1), 6);
+  EXPECT_EQ(batch.RowsThroughDepth(2), 8);
+  EXPECT_EQ(batch.RowsThroughDepth(9), 8);
+  // Child ranges stay contiguous and in list order.
+  EXPECT_EQ(batch.child_start(0), 3);
+  EXPECT_EQ(batch.child_count(0), 2);
+  EXPECT_EQ(batch.child_count(1), 0);
+  EXPECT_EQ(batch.child_start(2), 5);
+  EXPECT_EQ(batch.child_count(2), 1);
+  EXPECT_EQ(batch.child_start(4), 6);  // Node 2 of tree 0 -> node 3.
+  EXPECT_EQ(batch.child_start(5), 7);  // Tree 2's chain.
+}
+
+TEST(TreeGcnDeathTest, BackwardAfterLevelOrderForwardDies) {
+  Rng rng(43);
+  TreeGcn::Config config;
+  config.input_dim = 4;
+  config.hidden_dim = 8;
+  config.num_layers = 3;
+  config.dropout = 0.0f;
+  TreeGcn gcn;
+  gcn.Init(config, rng);
+
+  TreeBatch batch;
+  batch.Clear(4);
+  for (const auto& children : {Chain(6), Star(5), RandomTree(12, rng)}) {
+    const int n = static_cast<int>(children.size());
+    std::vector<float> f(static_cast<size_t>(n) * 4);
+    FillUniform(&f, rng);
+    batch.AddTree(f.data(), n, children);
+  }
+  batch.ToLevelOrder();
+  TreeGcn::Workspace ws;
+  gcn.ForwardBatch(batch, &ws);
+  std::vector<float> droots(static_cast<size_t>(batch.num_trees()) * 8, 1.0f);
+  EXPECT_DEATH(gcn.BackwardBatch(droots.data(), batch, ws),
+               "pruned \\(level-order\\) forward");
+}
+
 TEST(TreeGcnTest, RepeatedForwardIsAllocationFreeOnceWarm) {
   Rng rng(37);
   TreeGcn::Config config;
@@ -742,6 +831,27 @@ TEST(TreeGcnTest, RepeatedForwardIsAllocationFreeOnceWarm) {
   std::vector<float> feats(21 * 7);
   FillUniform(&feats, rng);
 
+  // The inference path rebuilds its level-order forest on every call, as
+  // GlobalModel's predict paths do.
+  const std::vector<std::vector<std::vector<int32_t>>> shapes = {
+      children, Chain(9), Star(6)};
+  std::vector<std::vector<float>> forest_feats;
+  for (const auto& shape : shapes) {
+    forest_feats.emplace_back(shape.size() * 7);
+    FillUniform(&forest_feats.back(), rng);
+  }
+  TreeBatch forest;
+  TreeGcn::Workspace iws;
+  const auto infer = [&] {
+    forest.Clear(7);
+    for (size_t t = 0; t < shapes.size(); ++t) {
+      forest.AddTree(forest_feats[t].data(),
+                     static_cast<int>(shapes[t].size()), shapes[t]);
+    }
+    forest.ToLevelOrder();
+    gcn.ForwardBatch(forest, &iws);
+  };
+
   // Warm up: the first calls grow the arenas to the high-water mark (and
   // this thread's GEMM pack scratch).
   TreeGcn::Workspace gws;
@@ -749,9 +859,11 @@ TEST(TreeGcnTest, RepeatedForwardIsAllocationFreeOnceWarm) {
   for (int i = 0; i < 3; ++i) {
     const float* root = gcn.Forward(feats.data(), 21, children, &gws);
     head.Forward(root, &hws);
+    infer();
   }
   const size_t gcn_capacity = gws.CapacityFloats();
   const size_t head_capacity = hws.CapacityFloats();
+  const size_t infer_capacity = iws.CapacityFloats();
 
   // Steady state: the arenas stop growing...
   g_allocations.store(0, std::memory_order_relaxed);
@@ -759,6 +871,7 @@ TEST(TreeGcnTest, RepeatedForwardIsAllocationFreeOnceWarm) {
   for (int i = 0; i < 200; ++i) {
     const float* root = gcn.Forward(feats.data(), 21, children, &gws);
     head.Forward(root, &hws);
+    infer();
   }
   g_count_allocations.store(false, std::memory_order_relaxed);
   const uint64_t allocations =
@@ -766,6 +879,7 @@ TEST(TreeGcnTest, RepeatedForwardIsAllocationFreeOnceWarm) {
 
   EXPECT_EQ(gws.CapacityFloats(), gcn_capacity);
   EXPECT_EQ(hws.CapacityFloats(), head_capacity);
+  EXPECT_EQ(iws.CapacityFloats(), infer_capacity);
   // ...and (sanitizers instrument allocation paths, so only assert the hard
   // zero on plain builds) the warm path touches the heap not even once.
 #if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)

@@ -28,6 +28,7 @@
 #include "stage/fleet/fleet.h"
 #include "stage/local/local_model.h"
 #include "stage/serve/prediction_service.h"
+#include "test_temp_dir.h"
 
 namespace stage::ckpt {
 namespace {
@@ -109,9 +110,7 @@ std::vector<double> Fingerprint(const Predictor& predictor) {
   return out;
 }
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
+using testing_util::TempPath;
 
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

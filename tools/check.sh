@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full verification gate: Release build + ASan + TSan, ctest on each, plus
-# an explicit run of the checkpoint corruption fault-injection suite under
+# Full verification gate: Release build + ASan + TSan, ctest on each, a
+# repeated parallel ctest lane over the snapshot/checkpoint/fleet suites,
+# plus an explicit run of the checkpoint corruption fault-injection suite under
 # ASan (truncations and bit flips must fail loads cleanly — no crash, no
 # OOM, no half-trained model), the pinned golden routing replay, and a
 # structural check of the stage_sim stats Prometheus exposition. Run from
@@ -29,6 +30,15 @@ build_and_test() {
 }
 
 build_and_test release ""
+
+# Tier-1 determinism lane: the suites that write snapshot files, repeated
+# at full parallelism. gtest_discover_tests makes every case its own
+# process; each writes into its own mkdtemp directory
+# (tests/test_temp_dir.h), so no two processes can share a file name.
+echo "=== [release] parallel repeat lane (snapshot/checkpoint/fleet suites) ==="
+(cd "${repo_root}/build-check-release" && \
+  ctest --output-on-failure -j "${jobs}" --repeat until-fail:5 \
+    -R 'Snapshot|Checkpoint|CorruptionSuite|FleetService')
 
 echo "=== [release] GBT hot-path bench smoke (STAGE_BENCH_FAST=1) ==="
 (cd "${repo_root}/build-check-release/bench" && \
