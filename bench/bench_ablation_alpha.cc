@@ -23,7 +23,8 @@ metrics::ErrorSummary CacheHitQError(const fleet::InstanceTrace& instance,
                                      double alpha) {
   core::StagePredictorConfig config = bench::PaperStageConfig();
   config.cache.alpha = alpha;
-  core::StagePredictor stage(config, {.instance = &instance.config});
+  fleet_serve::TenantStack stage(bench::SingleThreadedStack(config),
+                                 {.instance = &instance.config});
   const auto result = core::ReplayTrace(instance.trace, stage);
   std::vector<double> actual;
   std::vector<double> predicted;

@@ -52,7 +52,8 @@ int main() {
     for (const auto& instance : traces) {
       core::StagePredictorConfig config = bench::PaperStageConfig();
       config.cache.prediction_mode = mode.mode;
-      core::StagePredictor stage(config, {.instance = &instance.config});
+      fleet_serve::TenantStack stage(bench::SingleThreadedStack(config),
+                                     {.instance = &instance.config});
       const auto result = core::ReplayTrace(instance.trace, stage);
       for (const auto& record : result.records) {
         if (record.source == core::PredictionSource::kCache) {

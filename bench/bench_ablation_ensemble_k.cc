@@ -34,13 +34,14 @@ int main() {
     for (const auto& instance : fleet) {
       core::StagePredictorConfig config = bench::PaperStageConfig();
       config.local.ensemble.num_members = k;
-      core::StagePredictor stage(config, {.instance = &instance.config});
+      fleet_serve::TenantStack stage(bench::SingleThreadedStack(config),
+                                     {.instance = &instance.config});
       const auto start = std::chrono::steady_clock::now();
       const auto result = core::ReplayTrace(instance.trace, stage);
       train_seconds += std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
-      model_bytes = stage.local_model().MemoryBytes();
+      model_bytes = stage.local_model_snapshot()->MemoryBytes();
 
       std::vector<double> errors;
       std::vector<double> uncertainties;

@@ -16,7 +16,7 @@
 //      >= short_running_seconds), flag-off vs flag-on. Reported, not
 //      gated — the paper's claim is about interval honesty, not point
 //      accuracy.
-//   4. Hot-path overhead: warm-service single-prediction p50, flag-off vs
+//   4. Hot-path overhead: warm-stack single-prediction p50, flag-off vs
 //      flag-on (one extra relaxed atomic load + multiply on the local
 //      path). GATE: p50 delta <= 3%.
 //
@@ -36,7 +36,6 @@
 #include "stage/common/stats.h"
 #include "stage/metrics/report.h"
 #include "stage/obs/trace.h"
-#include "stage/serve/prediction_service.h"
 
 using namespace stage;
 
@@ -84,7 +83,8 @@ ReplayOutcome ReplayWithConfig(const core::StagePredictorConfig& config,
   core::StagePredictorOptions options;
   options.global_model = global_model;
   options.instance = &instance.config;
-  core::StagePredictor predictor(config, options);
+  fleet_serve::TenantStack predictor(bench::SingleThreadedStack(config),
+                                     options);
   ReplayOutcome outcome;
   for (size_t i = 0; i < contexts.size(); ++i) {
     obs::PredictionTrace trace;
@@ -105,29 +105,26 @@ ReplayOutcome ReplayWithConfig(const core::StagePredictorConfig& config,
   return outcome;
 }
 
-// Warm-service single-prediction latencies (phase 4), bench_serve_overhead
+// Warm-stack single-prediction latencies (phase 4), bench_serve_overhead
 // pattern: replay once to train/fill, then time bare Predicts.
 std::vector<double> PredictNanos(const core::StagePredictorConfig& config,
                                  const fleet::InstanceTrace& instance,
                                  const std::vector<core::QueryContext>& contexts,
                                  const global::GlobalModel* global_model) {
-  serve::PredictionServiceConfig service_config;
-  service_config.predictor = config;
-  service_config.cache_shards = 8;
-  service_config.async_retrain = false;
   core::StagePredictorOptions options;
   options.global_model = global_model;
   options.instance = &instance.config;
-  serve::PredictionService service(service_config, options);
+  fleet_serve::TenantStack stack({.predictor = config, .cache_shards = 8},
+                                 options);
   for (size_t i = 0; i < contexts.size(); ++i) {
-    service.Predict(contexts[i]);
-    service.Observe(contexts[i], instance.trace[i].exec_seconds);
+    stack.Predict(contexts[i]);
+    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
   std::vector<double> nanos;
   nanos.reserve(contexts.size());
   for (const core::QueryContext& context : contexts) {
     const auto start = std::chrono::steady_clock::now();
-    service.Predict(context);
+    stack.Predict(context);
     nanos.push_back(std::chrono::duration<double, std::nano>(
                         std::chrono::steady_clock::now() - start)
                         .count());
@@ -208,7 +205,8 @@ int main() {
     core::StagePredictorOptions options;
     options.global_model = &global_model;
     options.instance = &instance.config;
-    core::StagePredictor predictor(flag_off, options);
+    fleet_serve::TenantStack predictor(bench::SingleThreadedStack(flag_off),
+                                       options);
     calib::ConformalRecalibrator shadow(BenchConformalConfig());
     for (size_t q = 0; q < contexts.size(); ++q) {
       obs::PredictionTrace trace;

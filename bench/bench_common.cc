@@ -90,6 +90,11 @@ global::GlobalModel TrainGlobalModel(const SuiteConfig& suite) {
   return model;
 }
 
+fleet_serve::TenantStackConfig SingleThreadedStack(
+    const core::StagePredictorConfig& predictor) {
+  return {.predictor = predictor, .cache_shards = 1};
+}
+
 std::vector<InstanceEval> RunSuite(const SuiteConfig& suite,
                                    const global::GlobalModel* global_model) {
   fleet::FleetGenerator generator(EvalFleetConfig(suite));
@@ -99,8 +104,8 @@ std::vector<InstanceEval> RunSuite(const SuiteConfig& suite,
     InstanceEval eval;
     eval.instance = generator.MakeInstanceTrace(i);
 
-    core::StagePredictor stage(PaperStageConfig(),
-                               {global_model, &eval.instance.config});
+    fleet_serve::TenantStack stage(SingleThreadedStack(),
+                                   {global_model, &eval.instance.config});
     core::AutoWlmPredictor autowlm(PaperAutoWlmConfig());
     eval.stage = core::ReplayTrace(eval.instance.trace, stage);
     eval.autowlm = core::ReplayTrace(eval.instance.trace, autowlm);
@@ -170,7 +175,8 @@ std::vector<DualRecord> ReplayDual(const fleet::InstanceTrace& instance,
                                    const core::StagePredictorConfig& config) {
   core::StagePredictorConfig local_only = config;
   local_only.use_global = false;
-  core::StagePredictor stage(local_only, {.instance = &instance.config});
+  fleet_serve::TenantStack stage(SingleThreadedStack(local_only),
+                                 {.instance = &instance.config});
 
   std::vector<DualRecord> records;
   for (const fleet::QueryEvent& event : instance.trace) {

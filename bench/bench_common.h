@@ -9,6 +9,7 @@
 #include "stage/core/replay.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/global/global_model.h"
 #include "stage/metrics/error_metrics.h"
 
@@ -38,6 +39,12 @@ fleet::FleetConfig TrainFleetConfig(const SuiteConfig& suite);
 // documented in EXPERIMENTS.md).
 core::StagePredictorConfig PaperStageConfig();
 core::AutoWlmConfig PaperAutoWlmConfig();
+
+// The shape of the Stage predictor every bench replays: one cache shard,
+// so a single-threaded replay is deterministic (its Observe retrains
+// inline).
+fleet_serve::TenantStackConfig SingleThreadedStack(
+    const core::StagePredictorConfig& predictor = PaperStageConfig());
 global::GlobalModelConfig PaperGlobalConfig();
 
 // Trains the fleet-level global model on the (disjoint) training fleet.

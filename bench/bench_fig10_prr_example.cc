@@ -15,8 +15,8 @@ int main() {
   fleet::FleetGenerator generator(bench::EvalFleetConfig(suite));
   const fleet::InstanceTrace instance = generator.MakeInstanceTrace(0);
 
-  core::StagePredictor stage(bench::PaperStageConfig(),
-                             {.instance = &instance.config});
+  fleet_serve::TenantStack stage(bench::SingleThreadedStack(),
+                                 {.instance = &instance.config});
   const auto result = core::ReplayTrace(instance.trace, stage);
 
   std::vector<double> errors;

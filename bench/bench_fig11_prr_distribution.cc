@@ -19,8 +19,8 @@ int main() {
   std::vector<double> prr_scores;
   for (int i = 0; i < suite.num_eval_instances; ++i) {
     const fleet::InstanceTrace instance = generator.MakeInstanceTrace(i);
-    core::StagePredictor stage(bench::PaperStageConfig(),
-                               {.instance = &instance.config});
+    fleet_serve::TenantStack stage(bench::SingleThreadedStack(),
+                                   {.instance = &instance.config});
     const auto result = core::ReplayTrace(instance.trace, stage);
 
     std::vector<double> errors;

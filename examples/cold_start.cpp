@@ -10,6 +10,7 @@
 #include "stage/core/replay.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/global/global_model.h"
 #include "stage/metrics/error_metrics.h"
 #include "stage/metrics/report.h"
@@ -55,10 +56,12 @@ int main() {
 
   core::StagePredictorConfig stage_config;
   stage_config.min_train_size = 150;
-  core::StagePredictor with_global(stage_config,
-                                   {&global_model, &fresh.config});
-  core::StagePredictor without_global(stage_config,
-                                      {.instance = &fresh.config});
+  const fleet_serve::TenantStackConfig stack_config{
+      .predictor = stage_config, .cache_shards = 1};
+  fleet_serve::TenantStack with_global(stack_config,
+                                       {&global_model, &fresh.config});
+  fleet_serve::TenantStack without_global(stack_config,
+                                          {.instance = &fresh.config});
   core::AutoWlmConfig autowlm_config;
   autowlm_config.min_train_size = 150;
   core::AutoWlmPredictor autowlm(autowlm_config);

@@ -11,6 +11,7 @@
 #include "stage/core/replay.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/metrics/error_metrics.h"
 #include "stage/metrics/report.h"
 
@@ -41,7 +42,8 @@ int main() {
 
   core::StagePredictorConfig stage_config;
   stage_config.local.ensemble.member.num_rounds = 60;
-  core::StagePredictor stage(stage_config, {.instance = &instance.config});
+  fleet_serve::TenantStack stage({.predictor = stage_config, .cache_shards = 1},
+                                 {.instance = &instance.config});
   core::AutoWlmConfig autowlm_config;
   autowlm_config.gbdt.num_rounds = 100;
   core::AutoWlmPredictor autowlm(autowlm_config);
@@ -77,9 +79,9 @@ int main() {
   const auto& cache = stage.exec_time_cache();
   for (const auto& event : instance.trace) {
     if (event.template_id == 1) {
-      const auto* entry = cache.Lookup(
+      const auto entry = cache.Lookup(
           plan::HashFeatures(plan::FlattenPlan(event.plan)));
-      if (entry != nullptr) {
+      if (entry.has_value()) {
         std::printf("  hottest report: %zu observations, running mean "
                     "%.2fs, last %.2fs -> blended prediction %.2fs\n",
                     entry->stats.count(), entry->stats.mean(),

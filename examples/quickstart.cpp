@@ -7,6 +7,7 @@
 #include "stage/core/replay.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/metrics/error_metrics.h"
 
 using namespace stage;
@@ -26,11 +27,13 @@ int main() {
               instance.trace.size());
 
   // 2. A Stage predictor in the deployed configuration (cache + local
-  //    Bayesian ensemble; no global model).
-  core::StagePredictorConfig config;
-  config.local.ensemble.num_members = 10;
-  config.local.ensemble.member.num_rounds = 60;
-  core::StagePredictor predictor(config, {.instance = &instance.config});
+  //    Bayesian ensemble; no global model). One cache shard keeps this
+  //    single-threaded replay deterministic; Observe retrains inline.
+  fleet_serve::TenantStackConfig config;
+  config.predictor.local.ensemble.num_members = 10;
+  config.predictor.local.ensemble.member.num_rounds = 60;
+  config.cache_shards = 1;
+  fleet_serve::TenantStack predictor(config, {.instance = &instance.config});
 
   // 3. Drive it query by query: Predict before execution, Observe after.
   //    (core::ReplayTrace wraps exactly this loop.)
@@ -68,7 +71,7 @@ int main() {
                   predictor.exec_time_cache().evictions()));
 
   // A one-line accuracy summary via the replay helper on a fresh predictor.
-  core::StagePredictor fresh(config, {.instance = &instance.config});
+  fleet_serve::TenantStack fresh(config, {.instance = &instance.config});
   const core::ReplayResult result = core::ReplayTrace(instance.trace, fresh);
   const auto summary = metrics::Summarize(
       metrics::AbsoluteErrors(result.Actuals(), result.Predictions()));

@@ -11,6 +11,7 @@
 #include "stage/core/replay.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/metrics/report.h"
 #include "stage/wlm/trace_util.h"
 #include "stage/wlm/workload_manager.h"
@@ -28,7 +29,8 @@ int main() {
   // Predict every query in arrival order.
   core::StagePredictorConfig stage_config;
   stage_config.local.ensemble.member.num_rounds = 60;
-  core::StagePredictor stage(stage_config, {.instance = &instance.config});
+  fleet_serve::TenantStack stage({.predictor = stage_config, .cache_shards = 1},
+                                 {.instance = &instance.config});
   core::AutoWlmPredictor autowlm{core::AutoWlmConfig{}};
   const auto stage_result = core::ReplayTrace(instance.trace, stage);
   const auto autowlm_result = core::ReplayTrace(instance.trace, autowlm);

@@ -56,9 +56,8 @@ struct ConformalConfig {
 // Thread-safety contract (mirrors the predictor stack): scale(),
 // window_size(), and observations() are lock-free atomic reads, safe
 // against a concurrent Observe. Observe mutates the window and must be
-// serialized by the owner (StagePredictor's Observe contract /
-// TenantStack's observe_mutex_). Save/Load follow the same rules as
-// Observe.
+// serialized by the owner (TenantStack's observe_mutex_). Save/Load follow
+// the same rules as Observe.
 class ConformalRecalibrator {
  public:
   explicit ConformalRecalibrator(const ConformalConfig& config);

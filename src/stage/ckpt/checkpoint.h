@@ -11,35 +11,29 @@
 
 #include "stage/calib/conformal.h"
 #include "stage/ckpt/snapshot_file.h"
-#include "stage/core/stage_predictor.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/local/local_model.h"
 #include "stage/obs/metrics.h"
-#include "stage/serve/prediction_service.h"
 
 namespace stage::ckpt {
 
 // Crash-safe snapshot/warm-restart entry points (the deployment story of
 // paper §4.4 extended to the whole predictor: "train once, ship the
 // checkpoint to every instance" only works if the checkpoint is complete
-// and restarts are warm). Each helper serializes the object's SaveCheckpoint
-// / Save stream into the CRC-checked envelope and publishes it with the
+// and restarts are warm). Each helper serializes the object's SaveState /
+// Save stream into the CRC-checked envelope and publishes it with the
 // write-tmp-then-rename protocol of snapshot_file.h.
 
-// Full PredictionService state (sharded cache, pool, cadence, local model).
-bool SaveServiceSnapshot(const serve::PredictionService& service,
+// Full predictor-stack state (sharded cache, pool, cadence, local model,
+// recalibrator when calibration is on), as SnapshotKind::kPredictionService.
+// The load target's config must match the writer's; on failure the target
+// is untouched and must not serve.
+bool SaveServiceSnapshot(const fleet_serve::TenantStack& stack,
                          const std::string& path,
                          std::string* error = nullptr);
-bool LoadServiceSnapshot(serve::PredictionService* service,
+bool LoadServiceSnapshot(fleet_serve::TenantStack* stack,
                          const std::string& path,
                          std::string* error = nullptr);
-
-// Single-threaded StagePredictor state (cache, pool, cadence, local model).
-bool SavePredictorSnapshot(const core::StagePredictor& predictor,
-                           const std::string& path,
-                           std::string* error = nullptr);
-bool LoadPredictorSnapshot(core::StagePredictor* predictor,
-                           const std::string& path,
-                           std::string* error = nullptr);
 
 // Bare local model (the §4.3 ensemble, including the MAE member).
 bool SaveLocalModelSnapshot(const local::LocalModel& model,
@@ -58,12 +52,12 @@ bool LoadRecalibratorSnapshot(calib::ConformalRecalibrator* recalibrator,
                               const std::string& path,
                               std::string* error = nullptr);
 
-// Background checkpointer: snapshots a PredictionService to `path` every
+// Background checkpointer: snapshots a predictor stack to `path` every
 // `interval`, on a dedicated thread, using the atomic-rename protocol — a
 // crash at any instant leaves the last published snapshot loadable. The
-// service's SaveCheckpoint pauses writers (never readers) for the duration
-// of the state serialization, so periodic checkpointing does not stall the
-// prediction path. The service must outlive the checkpointer.
+// stack's SaveState pauses writers (never readers) for the duration of the
+// state serialization, so periodic checkpointing does not stall the
+// prediction path. The stack must outlive the checkpointer.
 class PeriodicCheckpointer {
  public:
   struct Options {
@@ -78,7 +72,7 @@ class PeriodicCheckpointer {
     std::string metrics_prefix = "stage_ckpt_";
   };
 
-  PeriodicCheckpointer(const serve::PredictionService& service,
+  PeriodicCheckpointer(const fleet_serve::TenantStack& stack,
                        Options options);
   ~PeriodicCheckpointer();
 
@@ -115,7 +109,7 @@ class PeriodicCheckpointer {
   void RegisterMetrics();
   bool WriteOnce(std::string* error);
 
-  const serve::PredictionService& service_;
+  const fleet_serve::TenantStack& stack_;
   const Options options_;
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> failed_{0};

@@ -21,7 +21,9 @@ enum class SnapshotKind : uint32_t {
   kLocalModel = 1,
   kExecTimeCache = 2,
   kTrainingPool = 3,
-  kStagePredictor = 4,
+  // 4 is reserved and never reused: it named the retired "SPRD" stream of a
+  // second, single-threaded predictor implementation. Every loader rejects
+  // a kind-4 envelope as a kind mismatch.
   kPredictionService = 5,
   // Multi-tenant fleet snapshot: an index of per-tenant payloads at known
   // offsets (each payload is a kPredictionService-format stream), so cold
@@ -30,18 +32,17 @@ enum class SnapshotKind : uint32_t {
   kFleetService = 6,
   // §4.8 online conformal recalibrator: the sliding residual window plus
   // its published sigma scale, so warm restart preserves calibration
-  // bit-for-bit. (Predictor/service snapshots embed the same stream when
+  // bit-for-bit. (kPredictionService snapshots embed the same stream when
   // calibration is on; this kind covers the standalone file.)
   kConformalRecalibrator = 7,
 };
 
 // Every enumerator, for registry round-trip tests and tooling that has to
 // enumerate the vocabulary. Keep in sync with the enum.
-inline constexpr std::array<SnapshotKind, 7> kAllSnapshotKinds = {
+inline constexpr std::array<SnapshotKind, 6> kAllSnapshotKinds = {
     SnapshotKind::kLocalModel,        SnapshotKind::kExecTimeCache,
-    SnapshotKind::kTrainingPool,      SnapshotKind::kStagePredictor,
-    SnapshotKind::kPredictionService, SnapshotKind::kFleetService,
-    SnapshotKind::kConformalRecalibrator,
+    SnapshotKind::kTrainingPool,      SnapshotKind::kPredictionService,
+    SnapshotKind::kFleetService,      SnapshotKind::kConformalRecalibrator,
 };
 
 std::string_view SnapshotKindName(SnapshotKind kind);

@@ -32,7 +32,6 @@ class AutoWlmPredictor final : public ExecTimePredictor {
 
   Prediction Predict(const QueryContext& query) const override;
   void Observe(const QueryContext& query, double exec_seconds) override;
-  std::string_view name() const override { return "AutoWLM"; }
 
   bool trained() const { return trained_; }
   int trainings() const { return trainings_; }

@@ -60,13 +60,14 @@ struct Prediction {
 //    affects future predictions. Implementations may update bookkeeping
 //    counters (hit/miss, attribution) from the read path, but only through
 //    atomics, so concurrent Predict calls never race with *each other*.
-//  * Observe mutates model state (caches, training pools, retraining) and
-//    is NOT safe to run concurrently with Predict or another Observe on the
-//    bare implementations in this library (StagePredictor, AutoWlm). A
-//    caller that needs reads racing writes must either serialize externally
-//    or use stage::serve::PredictionService, which layers per-shard cache
-//    locks and an atomically swapped model snapshot on top of this
-//    interface to make Predict wait-free with respect to Observe/retrain.
+//  * Observe mutates model state (caches, training pools, retraining).
+//    Whether it may race Predict is the implementation's call:
+//    AutoWlmPredictor must not run Observe concurrently with anything,
+//    while fleet_serve::TenantStack locks its cache shards and swaps its
+//    local model atomically, so its Predicts may race its Observes. Its
+//    Observe retrains inline; callers that must not block on training
+//    serve the stack through fleet_serve::FleetService, which schedules
+//    retrains on a worker pool instead.
 class ExecTimePredictor {
  public:
   virtual ~ExecTimePredictor() = default;
@@ -86,7 +87,6 @@ class ExecTimePredictor {
   }
 
   virtual void Observe(const QueryContext& query, double exec_seconds) = 0;
-  virtual std::string_view name() const = 0;
 };
 
 // Prediction returned before any model has trained.

@@ -1,11 +1,6 @@
 #include "stage/core/stage_predictor.h"
 
-#include <chrono>
 #include <cmath>
-
-#include "stage/calib/calibration.h"
-#include "stage/common/macros.h"
-#include "stage/common/serialize.h"
 
 namespace stage::core {
 
@@ -158,282 +153,6 @@ Prediction RouteHierarchical(const StagePredictorConfig& config,
     CompleteTrace(trace, out);
   }
   return out;
-}
-
-StagePredictor::StagePredictor(const StagePredictorConfig& config,
-                               const StagePredictorOptions& options)
-    : config_(config),
-      cache_(config.cache),
-      pool_(config.pool),
-      local_(config.local),
-      options_(options) {
-  const std::string error = config.Validate();
-  STAGE_CHECK_MSG(error.empty(), error.c_str());
-  if (config_.calibrate_uncertainty) {
-    recalibrator_ =
-        std::make_unique<calib::ConformalRecalibrator>(config_.conformal);
-  }
-  if (options_.metrics != nullptr) RegisterMetrics();
-}
-
-StagePredictor::~StagePredictor() {
-  if (options_.metrics != nullptr) options_.metrics->UnregisterAll(this);
-}
-
-void StagePredictor::RegisterMetrics() {
-  obs::MetricsRegistry* registry = options_.metrics;
-  const std::string& prefix = options_.metrics_prefix;
-  routing_metrics_ =
-      obs::RoutingMetricSet::Create(registry, prefix, /*with_latency=*/true);
-  for (int i = 0; i < kNumPredictionSources; ++i) {
-    const auto source = static_cast<PredictionSource>(i);
-    registry->RegisterCounterCallback(
-        this,
-        prefix + "predictions_total{source=\"" +
-            std::string(PredictionSourceName(source)) + "\"}",
-        [this, i] {
-          return source_counts_[i].load(std::memory_order_relaxed);
-        });
-  }
-  registry->RegisterCounterCallback(this, prefix + "cache_hits_total",
-                                    [this] { return cache_.hits(); });
-  registry->RegisterCounterCallback(this, prefix + "cache_misses_total",
-                                    [this] { return cache_.misses(); });
-  registry->RegisterCounterCallback(this, prefix + "cache_evictions_total",
-                                    [this] { return cache_.evictions(); });
-  registry->RegisterGaugeCallback(
-      this, prefix + "cache_entries",
-      [this] { return static_cast<double>(cache_.size()); });
-  registry->RegisterGaugeCallback(
-      this, prefix + "resident_memory_bytes",
-      [this] { return static_cast<double>(LocalMemoryBytes()); });
-  registry->RegisterGaugeCallback(
-      this, prefix + "pool_entries",
-      [this] { return static_cast<double>(pool_.size()); });
-  registry->RegisterCounterCallback(
-      this, prefix + "local_trainings_total",
-      [this] { return static_cast<uint64_t>(local_.trainings()); });
-  if (recalibrator_ != nullptr) {
-    registry->RegisterGaugeCallback(this, prefix + "conformal_scale", [this] {
-      return recalibrator_->scale();
-    });
-    registry->RegisterGaugeCallback(
-        this, prefix + "conformal_window_size", [this] {
-          return static_cast<double>(recalibrator_->window_size());
-        });
-    registry->RegisterCounterCallback(
-        this, prefix + "conformal_observations_total",
-        [this] { return recalibrator_->observations(); });
-  }
-}
-
-Prediction StagePredictor::PredictImpl(const QueryContext& query,
-                                       obs::PredictionTrace* trace) const {
-  Prediction out;
-  const double scale = conformal_scale();
-  if (trace == nullptr) {
-    out = RouteHierarchical(config_, query, cache_.Predict(query.feature_hash),
-                            &local_, options_.global_model, options_.instance,
-                            nullptr, scale);
-  } else {
-    const auto start = std::chrono::steady_clock::now();
-    const std::optional<double> cached = cache_.Predict(query.feature_hash);
-    const auto after_cache = std::chrono::steady_clock::now();
-    out = RouteHierarchical(config_, query, cached, &local_,
-                            options_.global_model, options_.instance, trace,
-                            scale);
-    const auto end = std::chrono::steady_clock::now();
-    trace->cache_nanos = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(after_cache -
-                                                             start)
-            .count());
-    trace->route_nanos = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - after_cache)
-            .count());
-    trace->total_nanos = trace->cache_nanos + trace->route_nanos;
-  }
-  source_counts_[static_cast<int>(out.source)].fetch_add(
-      1, std::memory_order_relaxed);
-  return out;
-}
-
-Prediction StagePredictor::Predict(const QueryContext& query) const {
-  if (!routing_metrics_.enabled()) return PredictImpl(query, nullptr);
-  obs::PredictionTrace trace;
-  const Prediction out = PredictImpl(query, &trace);
-  routing_metrics_.Record(trace);
-  return out;
-}
-
-Prediction StagePredictor::PredictTraced(const QueryContext& query,
-                                         obs::PredictionTrace* trace) const {
-  if (trace == nullptr) return Predict(query);
-  const Prediction out = PredictImpl(query, trace);
-  if (routing_metrics_.enabled()) routing_metrics_.Record(*trace);
-  return out;
-}
-
-std::vector<Prediction> StagePredictor::PredictBatch(
-    std::span<const QueryContext> queries) const {
-  std::vector<Prediction> out(queries.size());
-  if (queries.empty()) return out;
-  const bool traced = routing_metrics_.enabled();
-  std::vector<obs::PredictionTrace> traces(traced ? queries.size() : 0);
-  // One scale load amortized across the batch: Observe never runs
-  // concurrently with Predict on the bare predictor, so the scale cannot
-  // move mid-batch anyway.
-  const double scale = conformal_scale();
-
-  // Phase 1: cache + local routing per query; escalated queries defer
-  // their seconds instead of running the GCN inline.
-  std::vector<size_t> escalated;
-  std::vector<global::GlobalQuery> global_queries;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const QueryContext& query = queries[i];
-    bool needs_global = false;
-    if (!traced) {
-      out[i] = RouteHierarchicalDeferred(
-          config_, query, cache_.Predict(query.feature_hash), &local_,
-          options_.global_model, options_.instance, &needs_global, nullptr,
-          scale);
-    } else {
-      obs::PredictionTrace& trace = traces[i];
-      const auto start = std::chrono::steady_clock::now();
-      const std::optional<double> cached = cache_.Predict(query.feature_hash);
-      const auto after_cache = std::chrono::steady_clock::now();
-      out[i] = RouteHierarchicalDeferred(config_, query, cached, &local_,
-                                         options_.global_model,
-                                         options_.instance, &needs_global,
-                                         &trace, scale);
-      const auto end = std::chrono::steady_clock::now();
-      trace.cache_nanos = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(after_cache -
-                                                               start)
-              .count());
-      trace.route_nanos = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(end -
-                                                               after_cache)
-              .count());
-      trace.total_nanos = trace.cache_nanos + trace.route_nanos;
-    }
-    if (needs_global) {
-      escalated.push_back(i);
-      global_queries.push_back({query.plan, query.concurrent_queries});
-    }
-  }
-
-  // Phase 2: ONE batched global pass over every escalated query —
-  // bit-identical to per-query PredictSeconds (PredictBatch's contract).
-  if (!escalated.empty()) {
-    std::vector<double> seconds(escalated.size());
-    const auto start = std::chrono::steady_clock::now();
-    options_.global_model->PredictBatch(global_queries, *options_.instance,
-                                        seconds);
-    const auto end = std::chrono::steady_clock::now();
-    // Latency attribution: each escalated query carries an equal share of
-    // the batched pass (the per-query split inside one GEMM is unknowable).
-    const uint64_t share =
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-                .count()) /
-        escalated.size();
-    for (size_t j = 0; j < escalated.size(); ++j) {
-      const size_t i = escalated[j];
-      out[i].seconds = seconds[j];
-      if (traced) {
-        traces[i].route_nanos += share;
-        traces[i].total_nanos += share;
-        CompleteTrace(&traces[i], out[i]);
-      }
-    }
-  }
-
-  for (size_t i = 0; i < queries.size(); ++i) {
-    source_counts_[static_cast<int>(out[i].source)].fetch_add(
-        1, std::memory_order_relaxed);
-    if (traced) routing_metrics_.Record(traces[i]);
-  }
-  return out;
-}
-
-void StagePredictor::Observe(const QueryContext& query, double exec_seconds) {
-  STAGE_CHECK(exec_seconds >= 0.0);
-  // §4.8: score the *current* local model on the completed query and feed
-  // the normalized residual to the recalibrator — before the cache/pool
-  // mutations below, so the residual reflects the model that actually
-  // predicted this query. Sentinel residuals (untrained model handled by
-  // the trained() guard; unusable sigma by NormalizedResidual's NaN) are
-  // ignored by Observe.
-  if (recalibrator_ != nullptr && local_.trained()) {
-    const local::LocalModel::Output out = local_.Predict(query.features);
-    recalibrator_->Observe(calib::NormalizedResidual(
-        out.exec_seconds, out.log_std(), exec_seconds));
-  }
-  // Pool deduplication via the cache (§4.3): repeats are the cache's job;
-  // only cache misses diversify the local model's training set.
-  const bool was_cached = cache_.Contains(query.feature_hash);
-  cache_.Observe(query.feature_hash, exec_seconds, query.tick);
-  if (!was_cached) {
-    pool_.Add(query.features, exec_seconds);
-    ++observed_since_train_;
-  }
-
-  const bool first_training =
-      !local_.trained() && pool_.size() >= config_.min_train_size;
-  const bool scheduled_training =
-      local_.trained() && observed_since_train_ >= config_.retrain_interval &&
-      pool_.size() >= config_.min_train_size;
-  if (first_training || scheduled_training) {
-    local_.Train(pool_);
-    observed_since_train_ = 0;
-  }
-}
-
-uint64_t StagePredictor::total_predictions() const {
-  uint64_t total = 0;
-  for (const auto& count : source_counts_) {
-    total += count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-size_t StagePredictor::LocalMemoryBytes() const {
-  return cache_.MemoryBytes() + local_.MemoryBytes();
-}
-
-namespace {
-constexpr uint32_t kPredictorMagic = 0x53505244;  // "SPRD".
-constexpr uint32_t kPredictorVersion = 1;
-}  // namespace
-
-void StagePredictor::Save(std::ostream& out) const {
-  WriteHeader(out, kPredictorMagic, kPredictorVersion);
-  cache_.Save(out);
-  pool_.Save(out);
-  WritePod<uint64_t>(out, observed_since_train_);
-  WritePod<uint8_t>(out, local_.trained() ? 1 : 0);
-  if (local_.trained()) local_.Save(out);
-  // Appended only when calibration is on: the flag-off stream stays
-  // byte-identical to the legacy format (and old snapshots keep loading
-  // into flag-off predictors).
-  if (recalibrator_ != nullptr) recalibrator_->Save(out);
-}
-
-bool StagePredictor::Load(std::istream& in) {
-  if (!ReadHeader(in, kPredictorMagic, kPredictorVersion)) return false;
-  // Each component's Load is itself transactional, but the predictor is
-  // restored component-by-component: on failure, discard the predictor
-  // rather than serving from a partially restored one.
-  if (!cache_.Load(in)) return false;
-  if (!pool_.Load(in)) return false;
-  uint64_t observed_since_train = 0;
-  if (!ReadPod(in, &observed_since_train)) return false;
-  uint8_t has_local = 0;
-  if (!ReadPod(in, &has_local)) return false;
-  if (has_local != 0 && !local_.Load(in)) return false;
-  if (recalibrator_ != nullptr && !recalibrator_->Load(in)) return false;
-  observed_since_train_ = static_cast<size_t>(observed_since_train);
-  return true;
 }
 
 }  // namespace stage::core

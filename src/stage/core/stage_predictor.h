@@ -1,11 +1,6 @@
 #ifndef STAGE_CORE_STAGE_PREDICTOR_H_
 #define STAGE_CORE_STAGE_PREDICTOR_H_
 
-#include <array>
-#include <atomic>
-#include <cstdint>
-#include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -50,15 +45,15 @@ struct StagePredictorConfig {
   calib::ConformalConfig conformal;
 
   // Returns an empty string when the config is usable; otherwise a
-  // description of the first problem found. StagePredictor (and the serving
-  // layer on top of it) refuse to construct from an invalid config.
+  // description of the first problem found. fleet_serve::TenantStack
+  // refuses to construct from an invalid config.
   std::string Validate() const;
 };
 
-// Non-owning collaborators of a StagePredictor. Both pointers may be null
-// (the predictor degrades to cache + local, which is the configuration
-// Redshift actually deployed, §5.2); when set they are borrowed and must
-// outlive the predictor.
+// Non-owning collaborators of one predictor stack (fleet_serve::TenantStack).
+// Both model pointers may be null (the predictor degrades to cache + local,
+// which is the configuration Redshift actually deployed, §5.2); when set
+// they are borrowed and must outlive the predictor.
 struct StagePredictorOptions {
   const global::GlobalModel* global_model = nullptr;
   const fleet::InstanceConfig* instance = nullptr;
@@ -73,8 +68,8 @@ struct StagePredictorOptions {
   std::string metrics_prefix = "stage_";
 };
 
-// The §4.1 routing policy as a pure function, shared by StagePredictor and
-// stage::serve::PredictionService so the two cannot drift: cache hit ->
+// The §4.1 routing policy as a pure function, kept apart from the stack that
+// calls it (fleet_serve::TenantStack) so it can be tested alone: cache hit ->
 // cached value; trained local model -> local unless it is uncertain about a
 // long-running query and a global model is usable; otherwise global (cold
 // start) or the cold-start default. `cached_seconds` is the already-made
@@ -117,97 +112,6 @@ Prediction RouteHierarchicalDeferred(const StagePredictorConfig& config,
 // callers use it to finish the trace of a deferred-global query once the
 // batched prediction has filled in its seconds.
 void CompleteTrace(obs::PredictionTrace* trace, const Prediction& out);
-
-// The Stage predictor (§4): exec-time cache -> local Bayesian-ensemble
-// model -> fleet-trained global GCN.
-//
-// Thread-safety: Predict is const and only touches mutable state through
-// atomics (see ExecTimePredictor's contract), so concurrent Predict calls
-// are safe. Observe mutates the cache, pool, and (inline, every
-// retrain_interval misses) retrains the local model; it must not run
-// concurrently with anything. stage::serve::PredictionService provides the
-// concurrent, non-blocking-retrain variant.
-class StagePredictor final : public ExecTimePredictor {
- public:
-  explicit StagePredictor(const StagePredictorConfig& config,
-                          const StagePredictorOptions& options = {});
-  ~StagePredictor() override;
-
-  Prediction Predict(const QueryContext& query) const override;
-  void Observe(const QueryContext& query, double exec_seconds) override;
-  std::string_view name() const override { return "Stage"; }
-
-  // Batch prediction with the global-model fan-out batched: routing runs
-  // per query (cache + local model), every escalated query is collected,
-  // and ONE GlobalModel::PredictBatch computes their seconds in a single
-  // level-order pass. Results are bit-for-bit identical to calling Predict
-  // once per query, in order (the base-class contract); only the wall
-  // clock changes. Traced latency for escalated queries attributes an
-  // equal share of the batched global pass to each.
-  std::vector<Prediction> PredictBatch(
-      std::span<const QueryContext> queries) const override;
-
-  // Predict with the routing decision recorded into `trace` (stage reached,
-  // thresholds crossed, uncertainty, per-stage latency in ns). The traced
-  // path takes two extra clock reads; predictions are bit-for-bit identical
-  // to Predict. `trace` may be null, degrading to Predict.
-  Prediction PredictTraced(const QueryContext& query,
-                           obs::PredictionTrace* trace) const;
-
-  // Attribution counters: how many predictions each stage served.
-  uint64_t predictions_from(PredictionSource source) const {
-    return source_counts_[static_cast<int>(source)].load(
-        std::memory_order_relaxed);
-  }
-  uint64_t total_predictions() const;
-
-  const cache::ExecTimeCache& exec_time_cache() const { return cache_; }
-  const local::TrainingPool& training_pool() const { return pool_; }
-  const local::LocalModel& local_model() const { return local_; }
-
-  // Current §4.8 conformal sigma correction: 1.0 when calibration is off
-  // (or the window hasn't filled to conformal.min_window yet).
-  double conformal_scale() const {
-    return recalibrator_ != nullptr ? recalibrator_->scale() : 1.0;
-  }
-  // The recalibrator, or nullptr when calibrate_uncertainty is off.
-  const calib::ConformalRecalibrator* recalibrator() const {
-    return recalibrator_.get();
-  }
-
-  // Memory footprint of the locally resident components (the paper excludes
-  // the global model, which deploys as a shared serverless function).
-  size_t LocalMemoryBytes() const;
-
-  // Full-state checkpointing: exec-time cache, training pool, local model
-  // (when trained), and the retrain cadence counter. A predictor restored
-  // from a snapshot continues the replay bit-for-bit — same predictions,
-  // same routing, same future retrains — as one that never stopped.
-  // Attribution counters are telemetry and restart at zero. Load is
-  // transactional per component and returns false on a malformed stream;
-  // the global model is borrowed (StagePredictorOptions), never persisted.
-  void Save(std::ostream& out) const;
-  bool Load(std::istream& in);
-
- private:
-  Prediction PredictImpl(const QueryContext& query,
-                         obs::PredictionTrace* trace) const;
-  void RegisterMetrics();
-
-  StagePredictorConfig config_;
-  cache::ExecTimeCache cache_;
-  local::TrainingPool pool_;
-  local::LocalModel local_;
-  // Non-null iff config_.calibrate_uncertainty: fed a normalized residual
-  // per Observe, read (one atomic load) per Predict.
-  std::unique_ptr<calib::ConformalRecalibrator> recalibrator_;
-  StagePredictorOptions options_;  // Borrowed pointers, nullable.
-  obs::RoutingMetricSet routing_metrics_;  // Null members when no registry.
-  size_t observed_since_train_ = 0;
-  // Mutable + atomic: the const read path attributes each prediction.
-  mutable std::array<std::atomic<uint64_t>, kNumPredictionSources>
-      source_counts_{};
-};
 
 }  // namespace stage::core
 

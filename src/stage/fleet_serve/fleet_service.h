@@ -39,8 +39,8 @@ struct FleetServiceConfig {
 
   // When true (production), tenant retrains run on the fleet's bounded
   // worker pool and Observe never blocks on training. When false
-  // (deterministic replay / tests), Observe trains inline exactly like
-  // StagePredictor::Observe.
+  // (deterministic replay / tests), Observe trains inline, exactly like
+  // TenantStack::Observe(query, exec_seconds) on a bare stack.
   bool async_retrain = true;
 
   // Fairness cap: at most this many tenant trainings run concurrently, and
@@ -65,11 +65,12 @@ struct FleetServiceOptions {
   std::string metrics_prefix = "stage_";
 };
 
-// The tenant-keyed serving API (ROADMAP item 1): one process serves many
-// instances' predictor stacks out of a memory-bounded registry. The paper
-// operates Stage this way — per-instance models, fleet-scale pipeline
-// (§2/§6) — and this service is the registry-ification of the former
-// single-tenant PredictionService, which survives as a one-entry facade.
+// The tenant-keyed serving API: one process serves many instances'
+// predictor stacks out of a memory-bounded registry. The paper operates
+// Stage this way — per-instance models, fleet-scale pipeline (§2/§6). A
+// single-instance caller that needs concurrent reads with background
+// retrains registers one tenant and pins it (PinTenant). A single-threaded
+// caller needs no fleet: a bare TenantStack retrains inline.
 //
 // Tenant lifecycle:
 //
@@ -132,9 +133,10 @@ class FleetService {
                double exec_seconds);
 
   // Activates `tenant` and pins it warm for the service's lifetime: the
-  // returned stack stays valid and the evictor skips the tenant. This is
-  // the single-tenant facade's fast path — it delegates reads straight to
-  // the pinned stack, bypassing the registry lock entirely.
+  // returned stack stays valid and the evictor skips the tenant. The
+  // single-instance serving shape: the caller predicts straight on the
+  // pinned stack, bypassing the registry lock entirely, and observes
+  // through the fleet (Observe) so retrains follow async_retrain.
   std::shared_ptr<TenantStack> PinTenant(TenantId tenant);
 
   // Explicit eviction (tests / admin). Fails — returning false and filling
@@ -300,8 +302,7 @@ class FleetService {
 
   // Retrain pool plumbing. Per-tenant coalescing: a tenant is in at most
   // one of queued/running; a request landing while it runs sets the
-  // rerequest flag, producing exactly one follow-up run (the old
-  // PredictionService worker's semantics, fleet-wide).
+  // rerequest flag, producing exactly one follow-up run.
   std::mutex train_mutex_;
   std::condition_variable train_cv_;   // Wakes workers.
   std::condition_variable train_idle_cv_;  // Wakes WaitForRetrain.

@@ -12,11 +12,15 @@ namespace stage::fleet_serve {
 
 namespace {
 
-uint64_t ElapsedNanos(std::chrono::steady_clock::time_point start) {
+uint64_t NanosBetween(std::chrono::steady_clock::time_point start,
+                      std::chrono::steady_clock::time_point end) {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count());
+}
+
+uint64_t ElapsedNanos(std::chrono::steady_clock::time_point start) {
+  return NanosBetween(start, std::chrono::steady_clock::now());
 }
 
 void SetError(std::string* error, const char* message) {
@@ -62,11 +66,9 @@ TenantStack::~TenantStack() {
 void TenantStack::RegisterMetrics() {
   obs::MetricsRegistry* registry = options_.metrics;
   const std::string& prefix = options_.metrics_prefix;
-  // Escalations + uncertainty come from the hot-path metric set; per-stage
-  // latency is already measured by predict_latency_, exposed below as
-  // histogram callbacks (with_latency=false avoids a duplicate family).
-  routing_metrics_ =
-      obs::RoutingMetricSet::Create(registry, prefix, /*with_latency=*/false);
+  // Escalations, uncertainty and per-stage latency come from the hot-path
+  // metric set, fed from each predict's trace.
+  routing_metrics_ = obs::RoutingMetricSet::Create(registry, prefix);
   for (int i = 0; i < core::kNumPredictionSources; ++i) {
     const auto source = static_cast<core::PredictionSource>(i);
     const std::string label =
@@ -74,10 +76,6 @@ void TenantStack::RegisterMetrics() {
     registry->RegisterCounterCallback(
         this, prefix + "predictions_total" + label, [this, i] {
           return source_counts_[i].load(std::memory_order_relaxed);
-        });
-    registry->RegisterHistogramCallback(
-        this, prefix + "predict_latency_ns" + label, [this, i] {
-          return predict_latency_.histogram_snapshot(static_cast<size_t>(i));
         });
   }
   registry->RegisterCounterCallback(this, prefix + "cache_hits_total",
@@ -139,24 +137,28 @@ void TenantStack::RegisterMetrics() {
 
 core::Prediction TenantStack::PredictImpl(const core::QueryContext& query,
                                           obs::PredictionTrace* trace) const {
-  const auto start = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
   // Take the model snapshot before the cache lookup: a snapshot held for
   // the whole routing decision can never be freed mid-predict, and the
   // routing function sees one consistent model.
   const std::shared_ptr<const local::LocalModel> local =
       local_model_snapshot();
+  const Clock::time_point start =
+      trace != nullptr ? Clock::now() : Clock::time_point{};
+  const std::optional<double> cached = cache_.Predict(query.feature_hash);
+  const Clock::time_point after_cache =
+      trace != nullptr ? Clock::now() : Clock::time_point{};
   const core::Prediction out = core::RouteHierarchical(
-      config_.predictor, query, cache_.Predict(query.feature_hash),
-      local.get(), options_.global_model, options_.instance, trace,
-      conformal_scale());
+      config_.predictor, query, cached, local.get(), options_.global_model,
+      options_.instance, trace, conformal_scale());
   source_counts_[static_cast<int>(out.source)].fetch_add(
       1, std::memory_order_relaxed);
-  const uint64_t nanos = ElapsedNanos(start);
-  predict_latency_.Record(static_cast<size_t>(out.source), nanos);
   if (trace != nullptr) {
     trace->cache_shard =
         static_cast<uint32_t>(query.feature_hash % cache_.num_shards());
-    trace->total_nanos = nanos;
+    trace->cache_nanos = NanosBetween(start, after_cache);
+    trace->route_nanos = ElapsedNanos(after_cache);
+    trace->total_nanos = trace->cache_nanos + trace->route_nanos;
   }
   return out;
 }
@@ -188,6 +190,7 @@ constexpr size_t kParallelBatchThreshold = 64;
 
 std::vector<core::Prediction> TenantStack::PredictBatch(
     std::span<const core::QueryContext> queries) const {
+  using Clock = std::chrono::steady_clock;
   // One model snapshot amortized across the batch; cache lookups still go
   // through the shard locks individually so a batch never starves writers.
   const std::shared_ptr<const local::LocalModel> local =
@@ -196,7 +199,6 @@ std::vector<core::Prediction> TenantStack::PredictBatch(
   if (queries.empty()) return out;
   const bool traced = routing_metrics_.enabled();
   std::vector<obs::PredictionTrace> traces(traced ? queries.size() : 0);
-  std::vector<uint64_t> phase1_nanos(queries.size(), 0);
   // uint8_t, not bool: lanes write neighboring elements concurrently.
   std::vector<uint8_t> needs_global(queries.size(), 0);
 
@@ -208,14 +210,22 @@ std::vector<core::Prediction> TenantStack::PredictBatch(
   // to ONE batched global pass below instead of running the GCN inline.
   const auto route_one = [&](size_t i) {
     const core::QueryContext& query = queries[i];
-    const auto query_start = std::chrono::steady_clock::now();
+    obs::PredictionTrace* trace = traced ? &traces[i] : nullptr;
+    const Clock::time_point start = traced ? Clock::now() : Clock::time_point{};
+    const std::optional<double> cached = cache_.Predict(query.feature_hash);
+    const Clock::time_point after_cache =
+        traced ? Clock::now() : Clock::time_point{};
     bool escalate = false;
     out[i] = core::RouteHierarchicalDeferred(
-        config_.predictor, query, cache_.Predict(query.feature_hash),
-        local.get(), options_.global_model, options_.instance, &escalate,
-        traced ? &traces[i] : nullptr, scale);
+        config_.predictor, query, cached, local.get(), options_.global_model,
+        options_.instance, &escalate, trace, scale);
     needs_global[i] = escalate ? 1 : 0;
-    phase1_nanos[i] = ElapsedNanos(query_start);
+    if (trace != nullptr) {
+      trace->cache_shard =
+          static_cast<uint32_t>(query.feature_hash % cache_.num_shards());
+      trace->cache_nanos = NanosBetween(start, after_cache);
+      trace->route_nanos = ElapsedNanos(after_cache);
+    }
   };
   if (queries.size() >= kParallelBatchThreshold) {
     // Safe to fan out: cache_.Predict only touches per-shard locks and
@@ -242,30 +252,31 @@ std::vector<core::Prediction> TenantStack::PredictBatch(
                                 queries[i].concurrent_queries});
     }
     std::vector<double> seconds(escalated.size());
-    const auto global_start = std::chrono::steady_clock::now();
+    const Clock::time_point global_start =
+        traced ? Clock::now() : Clock::time_point{};
     options_.global_model->PredictBatch(
         global_queries, *options_.instance, seconds,
         escalated.size() > 1 ? &ThreadPool::Shared() : nullptr);
     // Each escalated query carries an equal share of the batched pass (the
     // per-query split inside one GEMM is unknowable).
-    global_share = ElapsedNanos(global_start) / escalated.size();
+    if (traced) global_share = ElapsedNanos(global_start) / escalated.size();
     for (size_t j = 0; j < escalated.size(); ++j) {
       out[escalated[j]].seconds = seconds[j];
     }
   }
 
-  // Counters, latency, and trace emission, in index order.
+  // Counters and trace emission, in index order.
   for (size_t i = 0; i < queries.size(); ++i) {
     source_counts_[static_cast<int>(out[i].source)].fetch_add(
         1, std::memory_order_relaxed);
-    const uint64_t nanos =
-        phase1_nanos[i] + (needs_global[i] != 0 ? global_share : 0);
-    predict_latency_.Record(static_cast<size_t>(out[i].source), nanos);
-    if (traced) {
-      traces[i].total_nanos = nanos;
-      if (needs_global[i] != 0) core::CompleteTrace(&traces[i], out[i]);
-      routing_metrics_.Record(traces[i]);
+    if (!traced) continue;
+    obs::PredictionTrace& trace = traces[i];
+    if (needs_global[i] != 0) {
+      trace.route_nanos += global_share;
+      core::CompleteTrace(&trace, out[i]);
     }
+    trace.total_nanos = trace.cache_nanos + trace.route_nanos;
+    routing_metrics_.Record(trace);
   }
   return out;
 }
@@ -275,10 +286,11 @@ bool TenantStack::Observe(const core::QueryContext& query, double exec_seconds,
   STAGE_CHECK(exec_seconds >= 0.0);
   std::lock_guard<std::mutex> observe_lock(observe_mutex_);
 
-  // §4.8: feed the recalibrator the current model's normalized residual on
-  // this completion — before the cache/pool mutations, matching
-  // StagePredictor::Observe's ordering exactly so sync replay stays
-  // bit-for-bit predictor-equivalent.
+  // §4.8: score the *current* local model on the completed query and feed
+  // the normalized residual to the recalibrator — before the cache/pool
+  // mutations below, so the residual reflects the model that actually
+  // predicted this query. Sentinel residuals (unusable sigma) come back NaN
+  // and the recalibrator ignores them.
   if (recalibrator_ != nullptr) {
     const std::shared_ptr<const local::LocalModel> model =
         local_model_snapshot();
@@ -301,8 +313,9 @@ bool TenantStack::Observe(const core::QueryContext& query, double exec_seconds,
       pool_.Add(query.features, exec_seconds);
       ++observed_since_train_;
     }
-    // Mirrors StagePredictor::Observe's cadence, with "a training has been
-    // kicked off" standing in for "the local model is trained" so the async
+    // The §4.3 cadence: the first training once min_train_size misses are
+    // pooled, then one every retrain_interval misses. "A training has been
+    // kicked off" stands in for "the local model is trained" so the async
     // first training is requested exactly once.
     const bool first_training =
         !first_train_requested_ &&
@@ -352,9 +365,8 @@ std::shared_ptr<const local::LocalModel> TenantStack::local_model_snapshot()
 }
 
 namespace {
-// Byte-compatible with the pre-fleet PredictionService checkpoint stream:
-// existing kPredictionService snapshots load unchanged, and the facade's
-// SaveCheckpoint keeps producing the exact bytes it always did.
+// The SnapshotKind::kPredictionService payload; its bytes are pinned by the
+// checkpoint and snapshot-fuzz tests.
 constexpr uint32_t kServiceMagic = 0x53535256;  // "SSRV".
 constexpr uint32_t kServiceVersion = 1;
 }  // namespace
@@ -487,16 +499,6 @@ void TenantStack::SeedSourceCounts(
 size_t TenantStack::pool_size() const {
   std::lock_guard<std::mutex> lock(pool_mutex_);
   return pool_.size();
-}
-
-std::vector<std::string> TenantStack::PredictLatencySlotNames() {
-  std::vector<std::string> names;
-  names.reserve(core::kNumPredictionSources);
-  for (int i = 0; i < core::kNumPredictionSources; ++i) {
-    names.emplace_back(core::PredictionSourceName(
-        static_cast<core::PredictionSource>(i)));
-  }
-  return names;
 }
 
 size_t TenantStack::LocalMemoryBytes() const {

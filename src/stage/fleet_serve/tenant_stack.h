@@ -16,7 +16,6 @@
 #include "stage/core/stage_predictor.h"
 #include "stage/local/local_model.h"
 #include "stage/local/training_pool.h"
-#include "stage/metrics/latency_recorder.h"
 #include "stage/obs/metrics.h"
 #include "stage/obs/trace.h"
 #include "stage/serve/sharded_cache.h"
@@ -24,8 +23,8 @@
 namespace stage::fleet_serve {
 
 // Per-tenant knobs: one instance's predictor stack shape. (The retrain
-// execution mode — inline vs background — is a fleet-level policy and lives
-// in FleetServiceConfig / PredictionServiceConfig, not here.)
+// execution mode — inline vs background — is the caller's: Observe(q, s)
+// retrains inline, FleetServiceConfig::async_retrain picks for a fleet.)
 struct TenantStackConfig {
   core::StagePredictorConfig predictor;
 
@@ -38,47 +37,69 @@ struct TenantStackConfig {
   std::string Validate() const;
 };
 
-// One tenant's complete predictor stack: sharded exec-time cache, training
-// pool, double-buffered local-model snapshot, retrain cadence, and
-// attribution/latency telemetry. This is the former PredictionService with
-// its thread ripped out: the stack never owns a worker — it *reports* when
-// the §4.3 cadence wants a retrain and leaves scheduling to its owner
-// (FleetService's fairness-capped executor, or an inline call for
-// deterministic replay).
+// The Stage predictor (§4): exec-time cache -> local Bayesian-ensemble
+// model -> fleet-trained global GCN, as one instance's complete stack:
+// sharded exec-time cache, training pool, double-buffered local-model
+// snapshot, retrain cadence, and attribution telemetry. It is the only
+// implementation of the hierarchy in this library.
 //
-// Concurrency contract (unchanged from the old service):
+// Two ways to drive it:
+//  * Directly, through the ExecTimePredictor interface: Observe(q, s)
+//    retrains inline when the §4.3 cadence asks. With cache_shards = 1 a
+//    single-threaded replay is deterministic — this is what the paper
+//    benches, the examples, the WLM policies and the golden routing
+//    replays use.
+//  * Under FleetService, which calls the three-argument Observe: the stack
+//    only *reports* that the cadence wants a retrain and the fleet's
+//    fairness-capped worker pool runs TrainOnce().
+//
+// Concurrency contract:
 //  * Predict / PredictBatch / PredictTraced are const, never block on
 //    training, and are safe against each other and against Observe.
 //  * Observe is serialized internally (multiple writer sessions are safe).
 //  * SaveState pauses writers (not readers) for a consistent cut; LoadState
 //    must not race anything — restore before serving starts.
-class TenantStack {
+//
+// Timing: a predict reads the clock only when it is traced — PredictTraced
+// with a trace, or any predict once options.metrics is set (the per-stage
+// <prefix>predict_latency_ns histograms are then fed from the trace). An
+// untraced predict is the cache probe plus routing and nothing else.
+class TenantStack final : public core::ExecTimePredictor {
  public:
   // `options` collaborators are borrowed and must outlive the stack. When
   // options.metrics is set the full per-stack metric families register
   // under options.metrics_prefix (and unregister in the destructor).
   explicit TenantStack(const TenantStackConfig& config,
                        const core::StagePredictorOptions& options = {});
-  ~TenantStack();
+  ~TenantStack() override;
 
   TenantStack(const TenantStack&) = delete;
   TenantStack& operator=(const TenantStack&) = delete;
 
-  core::Prediction Predict(const core::QueryContext& query) const;
-  std::vector<core::Prediction> PredictBatch(
-      std::span<const core::QueryContext> queries) const;
+  core::Prediction Predict(const core::QueryContext& query) const override;
 
-  // Predict with the routing decision recorded into `trace` (same contract
-  // as StagePredictor::PredictTraced, plus the cache shard the key mapped
-  // to). `trace` may be null, degrading to Predict.
+  // Batch prediction with the global-model fan-out batched: routing runs
+  // per query (cache + local model), every escalated query is collected,
+  // and ONE GlobalModel::PredictBatch computes their seconds. Results are
+  // bit-for-bit identical to calling Predict once per query, in order.
+  std::vector<core::Prediction> PredictBatch(
+      std::span<const core::QueryContext> queries) const override;
+
+  // Predict with the routing decision recorded into `trace`: stage reached,
+  // thresholds crossed, uncertainty, the cache shard the key mapped to, and
+  // the cache / route / total latency in ns. Predictions are bit-for-bit
+  // identical to Predict. `trace` may be null, degrading to Predict.
   core::Prediction PredictTraced(const core::QueryContext& query,
                                  obs::PredictionTrace* trace) const;
 
-  // Records an executed query into the cache (and, on a miss, the pool).
-  // When the §4.3 cadence asks for a (re)training: with `inline_retrain`
-  // the training runs inside this call — deterministic-replay mode,
-  // bit-for-bit StagePredictor::Observe — and false is returned; otherwise
-  // the call returns true and the caller owns scheduling TrainOnce().
+  // Records an executed query into the cache (and, on a miss, the pool),
+  // retraining inline when the §4.3 cadence asks for it.
+  void Observe(const core::QueryContext& query, double exec_seconds) override {
+    Observe(query, exec_seconds, /*inline_retrain=*/true);
+  }
+  // The same, but with `inline_retrain` false a requested (re)training is
+  // not run: the call returns true and the caller owns scheduling
+  // TrainOnce(). Returns false whenever no training is left to schedule.
   bool Observe(const core::QueryContext& query, double exec_seconds,
                bool inline_retrain);
 
@@ -89,13 +110,18 @@ class TenantStack {
 
   // Symmetric, status-returning checkpoint contract. SaveState pins one
   // consistent Observe boundary (writers stall, readers do not) and writes
-  // the same "SSRV" stream the old PredictionService::SaveCheckpoint
-  // produced, so existing kPredictionService snapshots stay loadable.
-  // Both return false — filling `error` when non-null — without partially
-  // applied state. Telemetry (attribution counters, latency recorder,
-  // cache hit/miss counters) deliberately restarts at zero on LoadState:
-  // counters describe a serving lifetime, not predictor state. (Fleet
-  // eviction preserves them separately via SourceCounts/SeedSourceCounts.)
+  // the "SSRV" stream (SnapshotKind::kPredictionService). The restoring
+  // stack's config must match the writer's (same cache_shards: shard
+  // membership is key % num_shards). Both return false — filling `error`
+  // when non-null — on failure. LoadState commits component by component,
+  // so a stream that fails midway may leave part of it applied: discard
+  // the stack then. A stack restored from a snapshot continues the replay
+  // bit-for-bit — same predictions, same routing, same future retrains —
+  // as one that never stopped. Telemetry
+  // (attribution counters, cache hit/miss counters) restarts at zero on
+  // LoadState: counters describe a serving lifetime, not predictor state.
+  // (Fleet eviction preserves them separately via SourceCounts /
+  // SeedSourceCounts.)
   bool SaveState(std::ostream& out, std::string* error = nullptr) const;
   bool LoadState(std::istream& in, std::string* error = nullptr);
 
@@ -104,7 +130,7 @@ class TenantStack {
   // the shard locks briefly; cheap enough for the Observe path.
   size_t ApproxResidentBytes() const;
 
-  // Attribution counters (same semantics as StagePredictor's).
+  // Attribution counters: how many predictions each stage served.
   uint64_t predictions_from(core::PredictionSource source) const {
     return source_counts_[static_cast<int>(source)].load(
         std::memory_order_relaxed);
@@ -138,13 +164,9 @@ class TenantStack {
   const serve::ShardedExecTimeCache& exec_time_cache() const { return cache_; }
   size_t pool_size() const;
 
-  // Per-source read-path latency/QPS, one slot per PredictionSource.
-  const metrics::LatencyRecorder& predict_latency() const {
-    return predict_latency_;
-  }
-  // Slot kNumPredictionSources-aligned names for RenderTable.
-  static std::vector<std::string> PredictLatencySlotNames();
-
+  // Memory footprint of the locally resident components: cache plus local
+  // model (the paper excludes the global model, which deploys as a shared
+  // serverless function).
   size_t LocalMemoryBytes() const;
 
  private:
@@ -160,7 +182,7 @@ class TenantStack {
 
   // Write-path state: the pool and retrain bookkeeping, guarded by
   // pool_mutex_ (observe_mutex_ additionally serializes whole Observes so
-  // multiple writer sessions keep StagePredictor's sequential semantics).
+  // multiple writer sessions see one sequential order of observations).
   // Mutable so the const SaveState can pause writers while it runs.
   mutable std::mutex observe_mutex_;
   mutable std::mutex pool_mutex_;
@@ -187,10 +209,8 @@ class TenantStack {
 
   mutable std::array<std::atomic<uint64_t>, core::kNumPredictionSources>
       source_counts_{};
-  mutable metrics::LatencyRecorder predict_latency_{
-      core::kNumPredictionSources};
   // Hot-path metric handles, resolved against options_.metrics when set
-  // (null members otherwise).
+  // (null members otherwise); enabled() is what turns on predict timing.
   obs::RoutingMetricSet routing_metrics_;
 };
 

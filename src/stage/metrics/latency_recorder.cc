@@ -21,9 +21,8 @@ void LatencyRecorder::Record(size_t slot, uint64_t nanos) {
   slots_[slot]->Record(static_cast<double>(nanos));
 }
 
-LatencyRecorder::SlotSnapshot LatencyRecorder::slot(size_t slot_index) const {
-  STAGE_DCHECK(slot_index < num_slots_);
-  const obs::Histogram::Snapshot histogram = slots_[slot_index]->TakeSnapshot();
+LatencyRecorder::SlotSnapshot LatencyRecorder::Summarize(
+    const obs::Histogram::Snapshot& histogram) {
   SlotSnapshot out;
   out.count = histogram.count;
   // Nanosecond sums stay exact in a double well past 2^52 total nanos
@@ -33,6 +32,11 @@ LatencyRecorder::SlotSnapshot LatencyRecorder::slot(size_t slot_index) const {
   out.p50_nanos = histogram.Quantile(0.50);
   out.p99_nanos = histogram.Quantile(0.99);
   return out;
+}
+
+LatencyRecorder::SlotSnapshot LatencyRecorder::slot(size_t slot_index) const {
+  STAGE_DCHECK(slot_index < num_slots_);
+  return Summarize(slots_[slot_index]->TakeSnapshot());
 }
 
 obs::Histogram::Snapshot LatencyRecorder::histogram_snapshot(
@@ -49,16 +53,30 @@ uint64_t LatencyRecorder::total_count() const {
 
 std::string LatencyRecorder::RenderTable(
     const std::vector<std::string>& slot_names, double elapsed_seconds) const {
+  std::vector<obs::Histogram::Snapshot> slots;
+  slots.reserve(num_slots_);
+  for (size_t i = 0; i < num_slots_; ++i) {
+    slots.push_back(histogram_snapshot(i));
+  }
+  return RenderLatencyTable(slot_names, slots, elapsed_seconds);
+}
+
+std::string RenderLatencyTable(
+    const std::vector<std::string>& slot_names,
+    const std::vector<obs::Histogram::Snapshot>& slots,
+    double elapsed_seconds) {
   TextTable table;
   table.SetHeader(
       {"Slot", "Count", "QPS", "Mean (us)", "p50 (us)", "p99 (us)",
        "Max (us)"});
-  for (size_t i = 0; i < num_slots_; ++i) {
-    const SlotSnapshot snapshot = slot(i);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const LatencyRecorder::SlotSnapshot snapshot =
+        LatencyRecorder::Summarize(slots[i]);
     const std::string name =
         i < slot_names.size() ? slot_names[i] : std::to_string(i);
     table.AddRow({name, std::to_string(snapshot.count),
-                  FormatValue(Qps(snapshot.count, elapsed_seconds)),
+                  FormatValue(LatencyRecorder::Qps(snapshot.count,
+                                                   elapsed_seconds)),
                   FormatValue(snapshot.mean_micros()),
                   FormatValue(1e-3 * snapshot.p50_nanos),
                   FormatValue(1e-3 * snapshot.p99_nanos),

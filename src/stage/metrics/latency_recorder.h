@@ -53,15 +53,25 @@ class LatencyRecorder {
                                   : static_cast<double>(count) / elapsed_seconds;
   }
 
-  // Fixed-width table of per-slot count / QPS / mean / p50 / p99 / max, one
-  // row per named slot (unnamed slots render by index), for CLI diagnostics.
+  // RenderLatencyTable over this recorder's slots.
   std::string RenderTable(const std::vector<std::string>& slot_names,
                           double elapsed_seconds) const;
+
+  // Count / total / max / p50 / p99 of one latency histogram.
+  static SlotSnapshot Summarize(const obs::Histogram::Snapshot& histogram);
 
  private:
   size_t num_slots_;
   std::vector<std::unique_ptr<obs::Histogram>> slots_;
 };
+
+// Fixed-width table of per-slot count / QPS / mean / p50 / p99 / max, one
+// row per latency histogram (unnamed slots render by index), for CLI
+// diagnostics.
+std::string RenderLatencyTable(
+    const std::vector<std::string>& slot_names,
+    const std::vector<obs::Histogram::Snapshot>& slots,
+    double elapsed_seconds);
 
 }  // namespace stage::metrics
 

@@ -40,21 +40,18 @@ std::string FormatTraceLine(uint64_t query_index,
 }
 
 RoutingMetricSet RoutingMetricSet::Create(MetricsRegistry* registry,
-                                          const std::string& prefix,
-                                          bool with_latency) {
+                                          const std::string& prefix) {
   RoutingMetricSet set;
   if (registry == nullptr) return set;
   set.escalations = &registry->GetCounter(prefix + "escalations_total");
   set.uncertainty = &registry->GetHistogram(
       prefix + "local_uncertainty_log_std", Histogram::UncertaintyBuckets());
-  if (with_latency) {
-    for (int i = 0; i < kNumTraceStages; ++i) {
-      const std::string name =
-          prefix + "predict_latency_ns{stage=\"" +
-          std::string(TraceStageName(static_cast<TraceStage>(i))) + "\"}";
-      set.latency[i] =
-          &registry->GetHistogram(name, Histogram::LatencyBucketsNanos());
-    }
+  for (int i = 0; i < kNumTraceStages; ++i) {
+    const std::string name =
+        prefix + "predict_latency_ns{stage=\"" +
+        std::string(TraceStageName(static_cast<TraceStage>(i))) + "\"}";
+    set.latency[i] =
+        &registry->GetHistogram(name, Histogram::LatencyBucketsNanos());
   }
   return set;
 }
@@ -66,8 +63,7 @@ void RoutingMetricSet::Record(const PredictionTrace& trace) const {
     uncertainty->Record(trace.uncertainty_log_std);
   }
   const int stage = static_cast<int>(trace.stage);
-  if (trace.total_nanos > 0 && stage < kNumTraceStages &&
-      latency[stage] != nullptr) {
+  if (stage < kNumTraceStages) {
     latency[stage]->Record(static_cast<double>(trace.total_nanos));
   }
 }

@@ -50,12 +50,14 @@ struct PredictionTrace {
   double short_running_threshold = 0.0;
   double uncertainty_threshold = 0.0;
 
-  // Placement / cost. Latencies are only filled on the traced call paths
-  // (PredictTraced); they stay zero on the plain hot path.
-  uint32_t cache_shard = 0;   // Shard probed (0 for the unsharded cache).
+  // Placement / cost. Filled only on traced calls (PredictTraced, and every
+  // predict of a stack with a metrics registry); a plain predict reads no
+  // clock and leaves them zero. In a batch, each escalated query's
+  // route_nanos carries an equal share of the one batched global pass.
+  uint32_t cache_shard = 0;   // Shard probed (0 for a one-shard cache).
   uint64_t cache_nanos = 0;   // Stage-1 lookup.
   uint64_t route_nanos = 0;   // Stages 2-3 (model inference + routing).
-  uint64_t total_nanos = 0;
+  uint64_t total_nanos = 0;   // cache_nanos + route_nanos.
 };
 
 // Stable one-line serialization of the *deterministic* trace fields (stage,
@@ -66,26 +68,25 @@ struct PredictionTrace {
 std::string FormatTraceLine(uint64_t query_index,
                             const PredictionTrace& trace);
 
-// The hot-path metric bundle shared by StagePredictor and the serving
-// layer: resolved once against a registry at construction, then updated
-// with relaxed atomics per prediction. When `registry` is null every
-// pointer stays null and enabled() is false — the predictor runs exactly
-// as before.
+// The hot-path metric bundle of a predictor stack (fleet_serve::TenantStack):
+// resolved once against a registry at construction, then updated with
+// relaxed atomics per prediction. When `registry` is null every pointer
+// stays null and enabled() is false — the stack then neither times nor
+// traces its predictions.
 struct RoutingMetricSet {
   Counter* escalations = nullptr;          // <prefix>escalations_total.
   Histogram* uncertainty = nullptr;        // <prefix>local_uncertainty_log_std.
-  // Per-stage prediction latency, only resolved when `with_latency` (the
-  // serving layer exposes its LatencyRecorder instead).
+  // <prefix>predict_latency_ns{stage=...}, one per stage.
   Histogram* latency[kNumTraceStages] = {};
 
   bool enabled() const { return escalations != nullptr; }
 
   static RoutingMetricSet Create(MetricsRegistry* registry,
-                                 const std::string& prefix,
-                                 bool with_latency);
+                                 const std::string& prefix);
 
-  // Records the per-prediction signals (escalation, uncertainty, latency
-  // when measured). Call only when enabled().
+  // Records the per-prediction signals: escalation, uncertainty, and
+  // total_nanos into the latency histogram of the stage that answered.
+  // Call only when enabled(), with a timed trace.
   void Record(const PredictionTrace& trace) const;
 };
 

@@ -32,6 +32,15 @@ bool ShardedExecTimeCache::Contains(uint64_t key) const {
   return shard.cache.Contains(key);
 }
 
+std::optional<cache::ExecTimeCache::Entry> ShardedExecTimeCache::Lookup(
+    uint64_t key) const {
+  const Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  const cache::ExecTimeCache::Entry* entry = shard.cache.Lookup(key);
+  if (entry == nullptr) return std::nullopt;
+  return *entry;
+}
+
 bool ShardedExecTimeCache::Observe(uint64_t key, double exec_time,
                                    uint64_t tick) {
   Shard& shard = ShardFor(key);

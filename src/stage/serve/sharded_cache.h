@@ -46,6 +46,10 @@ class ShardedExecTimeCache {
 
   bool Contains(uint64_t key) const;
 
+  // Copy of a key's entry, taken under its shard lock with no counter side
+  // effects; nullopt on a miss.
+  std::optional<cache::ExecTimeCache::Entry> Lookup(uint64_t key) const;
+
   // Records an observed execution. Returns true when the key was already
   // cached *before* this observation (the §4.3 pool-deduplication signal),
   // checked and updated under one shard lock so callers need no separate

@@ -75,9 +75,8 @@ struct ClosedLoopResult {
 // the same per-admission predictions — both run the same engine.
 //
 // Uses the predictor's sequential interface (Predict then Observe from one
-// thread), matching StagePredictor / AutoWlmPredictor / PredictionService.
-// For deterministic runs, configure services with inline retrain and one
-// cache shard.
+// thread). For deterministic runs, give a fleet_serve::TenantStack one
+// cache shard; its Observe retrains inline.
 ClosedLoopResult SimulateClosedLoop(
     const std::vector<fleet::QueryEvent>& trace,
     core::ExecTimePredictor* predictor, const ClosedLoopConfig& config);

@@ -2,7 +2,7 @@
 
 #include "stage/common/macros.h"
 #include "stage/core/replay.h"
-#include "stage/serve/prediction_service.h"
+#include "stage/fleet_serve/tenant_stack.h"
 
 namespace stage::wlm {
 
@@ -23,12 +23,18 @@ uint64_t CountSloViolations(const std::vector<fleet::QueryEvent>& trace,
   return violations;
 }
 
+// Both Stage policies run one stack pinned deterministic: inline retrain
+// (the stack's own Observe) and one cache shard make a single-threaded run
+// bit-for-bit reproducible.
+fleet_serve::TenantStack MakeStageStack(const PolicyRunConfig& config) {
+  return fleet_serve::TenantStack({.predictor = config.stage,
+                                   .cache_shards = 1},
+                                  {config.global_model, config.instance});
+}
+
 ClosedLoopResult RunOpenLoopStage(const std::vector<fleet::QueryEvent>& trace,
                                   const PolicyRunConfig& config) {
-  core::StagePredictorOptions options;
-  options.global_model = config.global_model;
-  options.instance = config.instance;
-  core::StagePredictor predictor(config.stage, options);
+  fleet_serve::TenantStack predictor = MakeStageStack(config);
   // The pre-PR pipeline: predictions fixed by an arrival-order replay
   // (predict, then observe, per event) before any queueing is simulated.
   const core::ReplayResult replay = core::ReplayTrace(trace, predictor);
@@ -79,18 +85,9 @@ ClosedLoopResult RunWlmPolicy(const std::vector<fleet::QueryEvent>& trace,
     case WlmPolicy::kOracle:
       return SimulateClosedLoop(trace, nullptr, config.loop);
     case WlmPolicy::kStage: {
-      // The full serving stack in the loop (the §4.5 deployment shape),
-      // pinned deterministic: inline retrain and one cache shard make a
-      // single-threaded closed-loop run bit-for-bit reproducible.
-      serve::PredictionServiceConfig service_config;
-      service_config.predictor = config.stage;
-      service_config.cache_shards = 1;
-      service_config.async_retrain = false;
-      core::StagePredictorOptions options;
-      options.global_model = config.global_model;
-      options.instance = config.instance;
-      serve::PredictionService service(service_config, options);
-      return SimulateClosedLoop(trace, &service, config.loop);
+      // The full predictor stack in the loop (the §4.5 deployment shape).
+      fleet_serve::TenantStack stack = MakeStageStack(config);
+      return SimulateClosedLoop(trace, &stack, config.loop);
     }
     case WlmPolicy::kAutoWlm: {
       core::AutoWlmPredictor autowlm(config.autowlm);

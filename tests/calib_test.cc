@@ -22,8 +22,9 @@
 #include "stage/common/stats.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/fleet_service.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/obs/metrics.h"
-#include "stage/serve/prediction_service.h"
 
 namespace stage::calib {
 namespace {
@@ -489,7 +490,7 @@ TEST(StagePredictorConfigValidation, RejectsNaNAndNegativeThresholds) {
 TEST(CalibValidationDeathTest, PredictorConstructionDiesOnNaNThreshold) {
   core::StagePredictorConfig config;
   config.uncertainty_log_std_threshold = std::nan("");
-  EXPECT_DEATH(core::StagePredictor predictor(config),
+  EXPECT_DEATH(fleet_serve::TenantStack stack({.predictor = config}),
                "uncertainty_log_std_threshold");
 }
 
@@ -497,12 +498,12 @@ TEST(CalibValidationDeathTest, PredictorConstructionDiesOnBadConformal) {
   core::StagePredictorConfig config;
   config.calibrate_uncertainty = true;
   config.conformal.min_window = 0;
-  EXPECT_DEATH(core::StagePredictor predictor(config),
+  EXPECT_DEATH(fleet_serve::TenantStack stack({.predictor = config}),
                "conformal.min_window");
 }
 
 // ---------------------------------------------------------------------------
-// Predictor / service integration.
+// Predictor stack / fleet integration.
 
 core::StagePredictorConfig CalibStageConfig(bool calibrate) {
   core::StagePredictorConfig config;
@@ -534,8 +535,12 @@ const fleet::InstanceTrace& CalibWorkload() {
   return *trace;
 }
 
-template <typename Predictor>
-void ReplayAll(Predictor& predictor) {
+// One cache shard: a single-threaded replay is deterministic.
+fleet_serve::TenantStackConfig OneShard(bool calibrate) {
+  return {.predictor = CalibStageConfig(calibrate), .cache_shards = 1};
+}
+
+void ReplayAll(fleet_serve::TenantStack& predictor) {
   for (const fleet::QueryEvent& event : CalibWorkload().trace) {
     const core::QueryContext context =
         core::MakeQueryContext(event.plan, event.concurrent_queries,
@@ -546,8 +551,8 @@ void ReplayAll(Predictor& predictor) {
 }
 
 TEST(CalibratedPredictorTest, ReportedUncertaintyIsScaledRawSigma) {
-  core::StagePredictor baseline(CalibStageConfig(false));
-  core::StagePredictor calibrated(CalibStageConfig(true));
+  fleet_serve::TenantStack baseline(OneShard(false));
+  fleet_serve::TenantStack calibrated(OneShard(true));
   ReplayAll(baseline);
   ReplayAll(calibrated);
 
@@ -580,38 +585,44 @@ TEST(CalibratedPredictorTest, ReportedUncertaintyIsScaledRawSigma) {
   EXPECT_GT(compared, 0);
 }
 
+// A pinned fleet tenant with sync retrain (FleetService routes Observe
+// through the stack's deferred-retrain call and trains inline) feeds its
+// recalibrator exactly like a bare stack whose own Observe retrains.
 TEST(CalibratedPredictorTest, SyncServiceMatchesPredictorFlagOn) {
-  core::StagePredictor predictor(CalibStageConfig(true));
-  serve::PredictionServiceConfig service_config;
-  service_config.predictor = CalibStageConfig(true);
-  service_config.cache_shards = 1;
-  service_config.async_retrain = false;
-  serve::PredictionService service(service_config);
+  fleet_serve::TenantStack predictor(OneShard(true));
+  fleet_serve::FleetServiceConfig fleet_config;
+  fleet_config.stack = OneShard(true);
+  fleet_config.async_retrain = false;
+  fleet_serve::FleetService fleet(fleet_config);
+  fleet.RegisterTenant(0);
+  const std::shared_ptr<fleet_serve::TenantStack> service =
+      fleet.PinTenant(0);
 
   for (const fleet::QueryEvent& event : CalibWorkload().trace) {
     const core::QueryContext context =
         core::MakeQueryContext(event.plan, event.concurrent_queries,
                                static_cast<uint64_t>(event.arrival_ms));
     const core::Prediction a = predictor.Predict(context);
-    const core::Prediction b = service.Predict(context);
+    const core::Prediction b = service->Predict(context);
     ASSERT_EQ(a.seconds, b.seconds);
     ASSERT_EQ(a.source, b.source);
     ASSERT_EQ(a.uncertainty_log_std, b.uncertainty_log_std);
     predictor.Observe(context, event.exec_seconds);
-    service.Observe(context, event.exec_seconds);
+    fleet.Observe(0, context, event.exec_seconds);
   }
-  EXPECT_EQ(service.conformal_scale(), predictor.conformal_scale());
-  ASSERT_NE(service.recalibrator(), nullptr);
-  EXPECT_EQ(service.recalibrator()->observations(),
+  EXPECT_EQ(service->conformal_scale(), predictor.conformal_scale());
+  ASSERT_NE(service->recalibrator(), nullptr);
+  EXPECT_EQ(service->recalibrator()->observations(),
             predictor.recalibrator()->observations());
+  EXPECT_GT(service->trainings(), 0);
+  EXPECT_EQ(service->trainings(), predictor.trainings());
 }
 
 TEST(CalibratedPredictorTest, CheckpointWarmRestartPreservesWindow) {
-  serve::PredictionServiceConfig config;
+  fleet_serve::TenantStackConfig config;
   config.predictor = CalibStageConfig(true);
   config.cache_shards = 2;
-  config.async_retrain = false;
-  serve::PredictionService original(config);
+  fleet_serve::TenantStack original(config);
 
   const auto& trace = CalibWorkload().trace;
   const size_t half = trace.size() / 2;
@@ -623,11 +634,11 @@ TEST(CalibratedPredictorTest, CheckpointWarmRestartPreservesWindow) {
     original.Observe(context, trace[i].exec_seconds);
   }
   std::ostringstream checkpoint;
-  ASSERT_TRUE(original.SaveCheckpoint(checkpoint));
+  ASSERT_TRUE(original.SaveState(checkpoint));
 
-  serve::PredictionService restored(config);
+  fleet_serve::TenantStack restored(config);
   std::istringstream in(checkpoint.str());
-  ASSERT_TRUE(restored.LoadCheckpoint(in));
+  ASSERT_TRUE(restored.LoadState(in));
   ASSERT_NE(restored.recalibrator(), nullptr);
   EXPECT_EQ(restored.conformal_scale(), original.conformal_scale());
   EXPECT_EQ(restored.recalibrator()->observations(),
@@ -647,28 +658,31 @@ TEST(CalibratedPredictorTest, CheckpointWarmRestartPreservesWindow) {
   }
   EXPECT_EQ(restored.conformal_scale(), original.conformal_scale());
 
-  // A flag-off service must reject the flag-on stream's trailing
-  // recalibrator bytes... and a flag-on service loads a flag-off stream as
+  // A flag-off stack must reject the flag-on stream's trailing
+  // recalibrator bytes... and a flag-on stack loads a flag-off stream as
   // truncated. Either way: clean false, never a half-applied window.
-  serve::PredictionServiceConfig off_config = config;
+  fleet_serve::TenantStackConfig off_config = config;
   off_config.predictor.calibrate_uncertainty = false;
-  serve::PredictionService flag_off(off_config);
+  fleet_serve::TenantStack flag_off(off_config);
   std::ostringstream off_checkpoint;
-  ASSERT_TRUE(flag_off.SaveCheckpoint(off_checkpoint));
-  serve::PredictionService flag_on(config);
+  ASSERT_TRUE(flag_off.SaveState(off_checkpoint));
+  fleet_serve::TenantStack flag_on(config);
   std::istringstream off_in(off_checkpoint.str());
-  EXPECT_FALSE(flag_on.LoadCheckpoint(off_in));
+  EXPECT_FALSE(flag_on.LoadState(off_in));
 }
 
 // TSan acceptance gate (tools/check.sh runs this filter in the tsan lane):
 // reader threads predict lock-free off the atomic scale while a writer
 // session feeds completions through the recalibrator.
 TEST(CalibConcurrencyTest, ReadersPredictWhileRecalibratorObserves) {
-  serve::PredictionServiceConfig config;
-  config.predictor = CalibStageConfig(true);
-  config.cache_shards = 4;
+  fleet_serve::FleetServiceConfig config;
+  config.stack.predictor = CalibStageConfig(true);
+  config.stack.cache_shards = 4;
   config.async_retrain = true;
-  serve::PredictionService service(config);
+  config.max_concurrent_trainings = 1;
+  fleet_serve::FleetService fleet(config);
+  fleet.RegisterTenant(0);
+  const std::shared_ptr<fleet_serve::TenantStack> service = fleet.PinTenant(0);
 
   const auto& trace = CalibWorkload().trace;
   std::vector<core::QueryContext> contexts;
@@ -684,10 +698,10 @@ TEST(CalibConcurrencyTest, ReadersPredictWhileRecalibratorObserves) {
   // plus a barrier guarantees the concurrent phase runs with a trained
   // model (and therefore actually exercises the scale refresh path).
   for (size_t i = 0; i < trace.size(); ++i) {
-    service.Observe(contexts[i], trace[i].exec_seconds);
+    fleet.Observe(0, contexts[i], trace[i].exec_seconds);
   }
-  service.WaitForRetrain();
-  ASSERT_GT(service.trainings(), 0);
+  fleet.WaitForRetrain();
+  ASSERT_GT(service->trainings(), 0);
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
@@ -696,7 +710,7 @@ TEST(CalibConcurrencyTest, ReadersPredictWhileRecalibratorObserves) {
     readers.emplace_back([&, r] {
       size_t i = static_cast<size_t>(r);
       while (!stop.load(std::memory_order_relaxed)) {
-        service.Predict(contexts[i % contexts.size()]);
+        service->Predict(contexts[i % contexts.size()]);
         i += kReaders;
       }
     });
@@ -704,17 +718,17 @@ TEST(CalibConcurrencyTest, ReadersPredictWhileRecalibratorObserves) {
   // Writer: the full replay observes every completion (feeding the
   // recalibrator under the observe lock) while readers hammer Predict.
   for (size_t i = 0; i < trace.size(); ++i) {
-    service.Observe(contexts[i], trace[i].exec_seconds);
+    fleet.Observe(0, contexts[i], trace[i].exec_seconds);
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
-  service.WaitForRetrain();
+  fleet.WaitForRetrain();
 
-  const double scale = service.conformal_scale();
+  const double scale = service->conformal_scale();
   EXPECT_TRUE(std::isfinite(scale));
-  EXPECT_GE(scale, config.predictor.conformal.min_scale);
-  EXPECT_LE(scale, config.predictor.conformal.max_scale);
-  EXPECT_GT(service.recalibrator()->observations(), 0u);
+  EXPECT_GE(scale, config.stack.predictor.conformal.min_scale);
+  EXPECT_LE(scale, config.stack.predictor.conformal.max_scale);
+  EXPECT_GT(service->recalibrator()->observations(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the stage::ckpt snapshot subsystem: envelope integrity,
 // crash-safe tmp-then-rename publication, warm-restart equivalence for
-// every checkpointable component (the acceptance bar: a restored service
+// every checkpointable component (the acceptance bar: a restored stack
 // continues a replay bit-for-bit), the periodic background checkpointer,
 // and the corruption fault-injection suite. The CorruptionSuite* tests are
 // additionally run standalone under AddressSanitizer by tools/check.sh —
@@ -26,9 +26,9 @@
 #include "stage/common/rng.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/local/local_model.h"
 #include "stage/local/training_pool.h"
-#include "stage/serve/prediction_service.h"
 #include "stage/serve/sharded_cache.h"
 #include "test_temp_dir.h"
 
@@ -49,12 +49,10 @@ core::StagePredictorConfig FastStage() {
   return config;
 }
 
-serve::PredictionServiceConfig SyncServiceConfig(size_t shards) {
-  serve::PredictionServiceConfig config;
-  config.predictor = FastStage();
-  config.cache_shards = shards;
-  config.async_retrain = false;
-  return config;
+// A predictor stack of `shards` cache shards; driven single-threaded, its
+// Observe retrains inline.
+fleet_serve::TenantStackConfig StackConfig(size_t shards) {
+  return {.predictor = FastStage(), .cache_shards = shards};
 }
 
 fleet::InstanceTrace MakeTrace(int num_queries, uint64_t seed = 2024) {
@@ -188,7 +186,7 @@ TEST(SnapshotStreamTest, RejectsBadMagic) {
 TEST(SnapshotStreamTest, EnvelopeBytesArePinnedToTheSharedFrameLayout) {
   const std::string payload = "pinned-envelope-payload";
   std::stringstream buffer;
-  WriteSnapshotStream(buffer, SnapshotKind::kStagePredictor, payload);
+  WriteSnapshotStream(buffer, SnapshotKind::kLocalModel, payload);
   const std::string bytes = buffer.str();
 
   std::string expected;
@@ -197,7 +195,7 @@ TEST(SnapshotStreamTest, EnvelopeBytesArePinnedToTheSharedFrameLayout) {
   };
   append_u32(0x53534e50u);  // "SSNP".
   append_u32(1u);           // Envelope version.
-  append_u32(static_cast<uint32_t>(SnapshotKind::kStagePredictor));
+  append_u32(static_cast<uint32_t>(SnapshotKind::kLocalModel));
   const auto size64 = static_cast<uint64_t>(payload.size());
   expected.append(reinterpret_cast<const char*>(&size64), sizeof(size64));
   append_u32(Crc32(payload));
@@ -210,7 +208,7 @@ TEST(SnapshotStreamTest, EnvelopeBytesArePinnedToTheSharedFrameLayout) {
   std::istringstream in(expected);
   std::string restored;
   std::string error;
-  ASSERT_TRUE(ReadSnapshotStream(in, SnapshotKind::kStagePredictor,
+  ASSERT_TRUE(ReadSnapshotStream(in, SnapshotKind::kLocalModel,
                                  &restored, &error))
       << error;
   EXPECT_EQ(restored, payload);
@@ -468,7 +466,7 @@ TEST(ShardedCacheCheckpointTest, LoadRejectsShardCountMismatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-restart equivalence (the ISSUE acceptance bar): snapshot mid-replay,
+// Warm-restart equivalence (the acceptance bar): snapshot mid-replay,
 // restore into a fresh object, and the remainder of the replay must produce
 // bit-for-bit identical predictions and routing decisions.
 
@@ -477,8 +475,10 @@ TEST(StagePredictorCheckpointTest, WarmRestartContinuesReplayBitForBit) {
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
   const size_t cut = contexts.size() / 2;
 
-  // Reference: one predictor replays everything, recording the tail.
-  core::StagePredictor reference(FastStage(), {.instance = &instance.config});
+  // Reference: one predictor replays everything, recording the tail. One
+  // cache shard: the shape every single-threaded replay uses.
+  fleet_serve::TenantStack reference(StackConfig(1),
+                                     {.instance = &instance.config});
   std::vector<core::Prediction> expected;
   for (size_t i = 0; i < contexts.size(); ++i) {
     const core::Prediction p = reference.Predict(contexts[i]);
@@ -488,15 +488,17 @@ TEST(StagePredictorCheckpointTest, WarmRestartContinuesReplayBitForBit) {
 
   // Subject: replay the prefix, snapshot, restore into a fresh predictor,
   // replay the tail there.
-  core::StagePredictor prefix(FastStage(), {.instance = &instance.config});
+  fleet_serve::TenantStack prefix(StackConfig(1),
+                                  {.instance = &instance.config});
   for (size_t i = 0; i < cut; ++i) {
     prefix.Predict(contexts[i]);
     prefix.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
   std::stringstream buffer;
-  prefix.Save(buffer);
-  core::StagePredictor resumed(FastStage(), {.instance = &instance.config});
-  ASSERT_TRUE(resumed.Load(buffer));
+  ASSERT_TRUE(prefix.SaveState(buffer));
+  fleet_serve::TenantStack resumed(StackConfig(1),
+                                   {.instance = &instance.config});
+  ASSERT_TRUE(resumed.LoadState(buffer));
 
   for (size_t i = cut; i < contexts.size(); ++i) {
     const core::Prediction got = resumed.Predict(contexts[i]);
@@ -515,7 +517,7 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
   const size_t cut = contexts.size() / 2;
 
-  serve::PredictionService reference(SyncServiceConfig(2),
+  fleet_serve::TenantStack reference(StackConfig(2),
                                      {.instance = &instance.config});
   std::vector<core::Prediction> expected;
   for (size_t i = 0; i < contexts.size(); ++i) {
@@ -524,17 +526,17 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
     reference.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
 
-  serve::PredictionService prefix(SyncServiceConfig(2),
+  fleet_serve::TenantStack prefix(StackConfig(2),
                                   {.instance = &instance.config});
   for (size_t i = 0; i < cut; ++i) {
     prefix.Predict(contexts[i]);
     prefix.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
   std::stringstream buffer;
-  prefix.SaveCheckpoint(buffer);
-  serve::PredictionService resumed(SyncServiceConfig(2),
+  ASSERT_TRUE(prefix.SaveState(buffer));
+  fleet_serve::TenantStack resumed(StackConfig(2),
                                    {.instance = &instance.config});
-  ASSERT_TRUE(resumed.LoadCheckpoint(buffer));
+  ASSERT_TRUE(resumed.LoadState(buffer));
 
   for (size_t i = cut; i < contexts.size(); ++i) {
     const core::Prediction got = resumed.Predict(contexts[i]);
@@ -544,7 +546,7 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
     EXPECT_DOUBLE_EQ(want.uncertainty_log_std, got.uncertainty_log_std) << i;
     resumed.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
-  // The retrain cadence was restored too: both services end the replay with
+  // The retrain cadence was restored too: both stacks end the replay with
   // the same number of completed trainings and cache population.
   EXPECT_EQ(resumed.trainings(), reference.trainings());
   EXPECT_EQ(resumed.exec_time_cache().size(),
@@ -554,7 +556,7 @@ TEST(ServiceCheckpointTest, WarmRestartContinuesReplayBitForBit) {
 TEST(ServiceCheckpointTest, FileHelpersRoundTrip) {
   const fleet::InstanceTrace instance = MakeTrace(200);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-  serve::PredictionService original(SyncServiceConfig(2),
+  fleet_serve::TenantStack original(StackConfig(2),
                                     {.instance = &instance.config});
   for (size_t i = 0; i < contexts.size(); ++i) {
     original.Observe(contexts[i], instance.trace[i].exec_seconds);
@@ -563,7 +565,7 @@ TEST(ServiceCheckpointTest, FileHelpersRoundTrip) {
   const std::string path = TempPath("service.snap");
   std::string error;
   ASSERT_TRUE(SaveServiceSnapshot(original, path, &error)) << error;
-  serve::PredictionService restored(SyncServiceConfig(2),
+  fleet_serve::TenantStack restored(StackConfig(2),
                                     {.instance = &instance.config});
   ASSERT_TRUE(LoadServiceSnapshot(&restored, path, &error)) << error;
 
@@ -579,17 +581,53 @@ TEST(ServiceCheckpointTest, FileHelpersRoundTrip) {
 TEST(ServiceCheckpointTest, LoadRejectsShardCountMismatch) {
   const fleet::InstanceTrace instance = MakeTrace(100);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-  serve::PredictionService original(SyncServiceConfig(2),
+  fleet_serve::TenantStack original(StackConfig(2),
                                     {.instance = &instance.config});
   for (size_t i = 0; i < contexts.size(); ++i) {
     original.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
   std::stringstream buffer;
-  original.SaveCheckpoint(buffer);
+  ASSERT_TRUE(original.SaveState(buffer));
 
-  serve::PredictionService mismatched(SyncServiceConfig(3),
+  fleet_serve::TenantStack mismatched(StackConfig(3),
                                       {.instance = &instance.config});
-  EXPECT_FALSE(mismatched.LoadCheckpoint(buffer));
+  EXPECT_FALSE(mismatched.LoadState(buffer));
+}
+
+// Kind 4 named the retired "SPRD" stream and is never reused: an envelope
+// of that kind — even around a valid SSRV payload — is a kind mismatch for
+// LoadServiceSnapshot, which reports it and leaves the target untouched.
+TEST(ServiceCheckpointTest, RetiredKindFourEnvelopeIsRejected) {
+  const fleet::InstanceTrace instance = MakeTrace(200);
+  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
+  fleet_serve::TenantStack original(StackConfig(2),
+                                    {.instance = &instance.config});
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    original.Observe(contexts[i], instance.trace[i].exec_seconds);
+  }
+  std::ostringstream payload;
+  ASSERT_TRUE(original.SaveState(payload));
+  const std::string path = TempPath("kind4.snap");
+  ASSERT_TRUE(WriteSnapshotFile(path, static_cast<SnapshotKind>(4),
+                                payload.str()));
+
+  fleet_serve::TenantStack target(StackConfig(2),
+                                  {.instance = &instance.config});
+  std::string error;
+  EXPECT_FALSE(LoadServiceSnapshot(&target, path, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(target.exec_time_cache().size(), 0u);
+  EXPECT_EQ(target.pool_size(), 0u);
+  EXPECT_EQ(target.local_model_snapshot(), nullptr);
+  fleet_serve::TenantStack fresh(StackConfig(2),
+                                 {.instance = &instance.config});
+  for (const core::QueryContext& context : contexts) {
+    const core::Prediction a = target.Predict(context);
+    const core::Prediction b = fresh.Predict(context);
+    EXPECT_EQ(a.source, b.source);
+    EXPECT_EQ(a.seconds, b.seconds);
+  }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -598,10 +636,10 @@ TEST(ServiceCheckpointTest, LoadRejectsShardCountMismatch) {
 TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
   const fleet::InstanceTrace instance = MakeTrace(150);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
-  serve::PredictionService service(SyncServiceConfig(2),
-                                   {.instance = &instance.config});
+  fleet_serve::TenantStack stack(StackConfig(2),
+                                 {.instance = &instance.config});
   for (size_t i = 0; i < contexts.size(); ++i) {
-    service.Observe(contexts[i], instance.trace[i].exec_seconds);
+    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
 
   const std::string path = TempPath("periodic.snap");
@@ -609,7 +647,7 @@ TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
   options.path = path;
   options.interval = std::chrono::milliseconds(5);
   options.checkpoint_on_start = true;
-  PeriodicCheckpointer checkpointer(service, options);
+  PeriodicCheckpointer checkpointer(stack, options);
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -622,12 +660,12 @@ TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
   EXPECT_EQ(checkpointer.failed(), 0u);
   EXPECT_TRUE(checkpointer.last_error().empty());
 
-  serve::PredictionService restored(SyncServiceConfig(2),
+  fleet_serve::TenantStack restored(StackConfig(2),
                                     {.instance = &instance.config});
   std::string error;
   ASSERT_TRUE(LoadServiceSnapshot(&restored, path, &error)) << error;
   for (const core::QueryContext& context : contexts) {
-    const core::Prediction a = service.Predict(context);
+    const core::Prediction a = stack.Predict(context);
     const core::Prediction b = restored.Predict(context);
     EXPECT_EQ(a.source, b.source);
     EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
@@ -637,13 +675,13 @@ TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
 
 TEST(PeriodicCheckpointerTest, ReportsFailures) {
   const fleet::InstanceTrace instance = MakeTrace(50);
-  serve::PredictionService service(SyncServiceConfig(1),
-                                   {.instance = &instance.config});
+  fleet_serve::TenantStack stack(StackConfig(1),
+                                 {.instance = &instance.config});
 
   PeriodicCheckpointer::Options options;
   options.path = TempPath("no_such_dir/") + "unwritable.snap";
   options.interval = std::chrono::hours(1);  // Only TriggerNow fires.
-  PeriodicCheckpointer checkpointer(service, options);
+  PeriodicCheckpointer checkpointer(stack, options);
   std::string error;
   EXPECT_FALSE(checkpointer.TriggerNow(&error));
   EXPECT_FALSE(error.empty());
@@ -707,25 +745,13 @@ std::vector<KindFile> AllKindFiles() {
   const fleet::InstanceTrace instance = MakeTrace(160);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
   {
-    core::StagePredictor predictor(FastStage(),
+    fleet_serve::TenantStack stack(StackConfig(2),
                                    {.instance = &instance.config});
     for (size_t i = 0; i < contexts.size(); ++i) {
-      predictor.Observe(contexts[i], instance.trace[i].exec_seconds);
+      stack.Observe(contexts[i], instance.trace[i].exec_seconds);
     }
     std::stringstream payload;
-    predictor.Save(payload);
-    files.push_back(
-        {SnapshotKind::kStagePredictor,
-         EnvelopeBytes(SnapshotKind::kStagePredictor, payload.str())});
-  }
-  {
-    serve::PredictionService service(SyncServiceConfig(2),
-                                     {.instance = &instance.config});
-    for (size_t i = 0; i < contexts.size(); ++i) {
-      service.Observe(contexts[i], instance.trace[i].exec_seconds);
-    }
-    std::stringstream payload;
-    service.SaveCheckpoint(payload);
+    EXPECT_TRUE(stack.SaveState(payload));
     files.push_back(
         {SnapshotKind::kPredictionService,
          EnvelopeBytes(SnapshotKind::kPredictionService, payload.str())});
@@ -777,13 +803,9 @@ bool TryLoadKind(SnapshotKind kind, const std::string& bytes,
       }
       return ok;
     }
-    case SnapshotKind::kStagePredictor: {
-      core::StagePredictor predictor(FastStage());
-      return LoadPredictorSnapshot(&predictor, path);
-    }
     case SnapshotKind::kPredictionService: {
-      serve::PredictionService service(SyncServiceConfig(2));
-      return LoadServiceSnapshot(&service, path);
+      fleet_serve::TenantStack stack(StackConfig(2));
+      return LoadServiceSnapshot(&stack, path);
     }
     case SnapshotKind::kFleetService:
       // Fleet snapshots use the indexed SFLT layout (stage/fleet_serve),
@@ -837,7 +859,7 @@ TEST(CorruptionSuite, RandomByteFlipsFailCleanly) {
 }
 
 // Raw (un-enveloped) streams reach component Load()s through
-// StagePredictor/PredictionService payloads, so those parsers must also
+// kPredictionService payloads, so those parsers must also
 // survive truncation on their own: no crash, no giant allocation from a
 // half-read size field, and never a trained model.
 TEST(CorruptionSuite, TruncatedRawLocalModelStreamNeverYieldsTrainedModel) {

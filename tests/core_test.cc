@@ -7,6 +7,7 @@
 #include "stage/core/replay.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 
 namespace stage::core {
 namespace {
@@ -29,6 +30,12 @@ AutoWlmConfig FastAutoWlm() {
   config.min_train_size = 20;
   config.retrain_interval = 100;
   return config;
+}
+
+// The Stage predictor under test: one stack with one cache shard, so a
+// single-threaded run is deterministic and Observe retrains inline.
+fleet_serve::TenantStackConfig OneShard(const StagePredictorConfig& config) {
+  return {.predictor = config, .cache_shards = 1};
 }
 
 StagePredictorConfig FastStage() {
@@ -77,7 +84,7 @@ TEST(AutoWlmTest, LearnsAfterEnoughObservations) {
 }
 
 TEST(StagePredictorTest, CacheServesExactRepeats) {
-  StagePredictor predictor(FastStage());
+  fleet_serve::TenantStack predictor(OneShard(FastStage()));
   const plan::Plan plan = MakePlan(3.0);
   const QueryContext context = MakeQueryContext(plan, 0, 1);
   predictor.Observe(context, 7.0);
@@ -89,21 +96,22 @@ TEST(StagePredictorTest, CacheServesExactRepeats) {
 }
 
 TEST(StagePredictorTest, DefaultBeforeAnyTrainingOnMiss) {
-  StagePredictor predictor(FastStage());
+  fleet_serve::TenantStack predictor(OneShard(FastStage()));
   const plan::Plan plan = MakePlan(3.0);
   const Prediction prediction = predictor.Predict(MakeQueryContext(plan, 0, 1));
   EXPECT_EQ(prediction.source, PredictionSource::kDefault);
 }
 
 TEST(StagePredictorTest, LocalModelTrainsAtThresholdAndServesMisses) {
-  StagePredictor predictor(FastStage());
+  fleet_serve::TenantStack predictor(OneShard(FastStage()));
   Rng rng(5);
   // Distinct plans (cache misses) until the pool reaches min_train_size.
   for (int i = 0; i < 30; ++i) {
     const plan::Plan plan = MakePlan(rng.NextUniform(1.0, 10.0));
     predictor.Observe(MakeQueryContext(plan, 0, i), 2.0);
   }
-  EXPECT_TRUE(predictor.local_model().trained());
+  ASSERT_NE(predictor.local_model_snapshot(), nullptr);
+  EXPECT_TRUE(predictor.local_model_snapshot()->trained());
   const plan::Plan fresh = MakePlan(123.456);
   const Prediction prediction =
       predictor.Predict(MakeQueryContext(fresh, 0, 999));
@@ -112,13 +120,13 @@ TEST(StagePredictorTest, LocalModelTrainsAtThresholdAndServesMisses) {
 }
 
 TEST(StagePredictorTest, PoolDeduplicatesRepeatsThroughCache) {
-  StagePredictor predictor(FastStage());
+  fleet_serve::TenantStack predictor(OneShard(FastStage()));
   const plan::Plan plan = MakePlan(3.0);
   for (int i = 0; i < 10; ++i) {
     predictor.Observe(MakeQueryContext(plan, 0, i), 1.0);
   }
   // Only the first observation (a cache miss) entered the pool.
-  EXPECT_EQ(predictor.training_pool().size(), 1u);
+  EXPECT_EQ(predictor.pool_size(), 1u);
   EXPECT_EQ(predictor.exec_time_cache().size(), 1u);
 }
 
@@ -145,7 +153,8 @@ TEST(StagePredictorTest, ColdStartUsesGlobalModelWhenAvailable) {
   const global::GlobalModel global_model =
       global::GlobalModel::Train(examples, global_config);
 
-  StagePredictor predictor(FastStage(), {&global_model, &fleet[0].config});
+  fleet_serve::TenantStack predictor(OneShard(FastStage()),
+                                     {&global_model, &fleet[0].config});
   const auto& event = fleet[0].trace[0];
   const Prediction prediction =
       predictor.Predict(MakeQueryContext(event.plan, 0, 0));
@@ -177,13 +186,15 @@ TEST(StagePredictorTest, UncertainLongQueriesEscalateToGlobal) {
   StagePredictorConfig config = FastStage();
   config.short_running_seconds = 0.0;           // Nothing counts as short.
   config.uncertainty_log_std_threshold = 0.0;   // Nothing counts as sure.
-  StagePredictor predictor(config, {&global_model, &fleet[0].config});
+  fleet_serve::TenantStack predictor(OneShard(config),
+                                     {&global_model, &fleet[0].config});
   Rng rng(9);
   for (int i = 0; i < 40; ++i) {
     const plan::Plan plan = MakePlan(rng.NextUniform(1.0, 2.0));
     predictor.Observe(MakeQueryContext(plan, 0, i), 1.0);
   }
-  ASSERT_TRUE(predictor.local_model().trained());
+  ASSERT_NE(predictor.local_model_snapshot(), nullptr);
+  ASSERT_TRUE(predictor.local_model_snapshot()->trained());
   const plan::Plan alien = MakePlan(1e7);
   const Prediction prediction =
       predictor.Predict(MakeQueryContext(alien, 0, 100));
@@ -216,14 +227,16 @@ TEST(StagePredictorTest, PredictBatchBitEqualsLoopedPredict) {
   StagePredictorConfig config = FastStage();
   config.short_running_seconds = 0.0;          // Nothing counts as short.
   config.uncertainty_log_std_threshold = 0.0;  // Nothing counts as sure.
-  StagePredictor predictor(config, {&global_model, &fleet[0].config});
+  fleet_serve::TenantStack predictor(OneShard(config),
+                                     {&global_model, &fleet[0].config});
   Rng rng(13);
   std::vector<plan::Plan> observed;
   for (int i = 0; i < 40; ++i) {
     observed.push_back(MakePlan(rng.NextUniform(1.0, 2.0)));
     predictor.Observe(MakeQueryContext(observed.back(), 0, i), 1.0);
   }
-  ASSERT_TRUE(predictor.local_model().trained());
+  ASSERT_NE(predictor.local_model_snapshot(), nullptr);
+  ASSERT_TRUE(predictor.local_model_snapshot()->trained());
 
   std::vector<plan::Plan> fresh;
   for (int i = 0; i < 30; ++i) fresh.push_back(MakePlan(1e6 + i * 1e4));
@@ -257,7 +270,7 @@ TEST(StagePredictorTest, UseGlobalFalseDisablesEscalation) {
   config.use_global = false;
   config.short_running_seconds = 0.0;
   config.uncertainty_log_std_threshold = 0.0;
-  StagePredictor predictor(config);
+  fleet_serve::TenantStack predictor(OneShard(config));
   Rng rng(11);
   for (int i = 0; i < 40; ++i) {
     const plan::Plan plan = MakePlan(rng.NextUniform(1.0, 2.0));
@@ -306,7 +319,7 @@ TEST(AutoWlmTest, LogTargetVariantHandlesLongTail) {
 }
 
 TEST(StagePredictorTest, ObserveZeroExecTimeIsValid) {
-  StagePredictor predictor(FastStage());
+  fleet_serve::TenantStack predictor(OneShard(FastStage()));
   const plan::Plan plan = MakePlan(1.0);
   const QueryContext context = MakeQueryContext(plan, 0, 1);
   predictor.Observe(context, 0.0);  // Result-cache-served query: 0s.
@@ -335,7 +348,8 @@ TEST(StagePredictorTest, GlobalWithoutInstanceDegradesGracefully) {
   config.epochs = 1;
   const auto model = global::GlobalModel::Train(examples, config);
 
-  StagePredictor predictor(FastStage(), {.global_model = &model});
+  fleet_serve::TenantStack predictor(OneShard(FastStage()),
+                                     {.global_model = &model});
   const plan::Plan plan = MakePlan(2.0);
   const Prediction prediction = predictor.Predict(MakeQueryContext(plan, 0, 0));
   EXPECT_EQ(prediction.source, PredictionSource::kDefault);
@@ -366,7 +380,8 @@ TEST(ReplayTest, StageAttributionCoversAllPredictions) {
   fleet::FleetGenerator generator(fleet_config);
   const auto fleet = generator.GenerateFleet();
 
-  StagePredictor predictor(FastStage(), {.instance = &fleet[0].config});
+  fleet_serve::TenantStack predictor(OneShard(FastStage()),
+                                     {.instance = &fleet[0].config});
   const ReplayResult result = ReplayTrace(fleet[0].trace, predictor);
   EXPECT_EQ(predictor.total_predictions(), fleet[0].trace.size());
   // Cache must have served a healthy share (the workload repeats a lot).

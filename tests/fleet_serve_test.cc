@@ -1,5 +1,5 @@
 // Tests for the stage::fleet_serve registry: single-tenant equivalence
-// with PredictionService, eviction/cold-activation round-trips (bit-for-bit
+// with a bare TenantStack, eviction/cold-activation round-trips (bit-for-bit
 // predictions AND attribution counters), LRU order under a byte budget, the
 // indexed fleet snapshot format, and the tenant-churn concurrency stress
 // test (run under STAGE_SANITIZE=thread to prove the synchronization).
@@ -19,7 +19,7 @@
 #include "stage/fleet_serve/fleet_snapshot.h"
 #include "stage/fleet_serve/tenant_stack.h"
 #include "stage/obs/metrics.h"
-#include "stage/serve/prediction_service.h"
+#include "stage/obs/trace.h"
 #include "test_temp_dir.h"
 
 namespace stage::fleet_serve {
@@ -85,18 +85,14 @@ TEST(FleetServiceConfigTest, ValidateRejectsNonsense) {
   EXPECT_FALSE(config.Validate().empty());
 }
 
-// The facade acceptance bar from the other side: a replay through
-// FleetService under one tenant is bit-for-bit the replay through the
-// (pre-fleet) PredictionService surface.
-TEST(FleetServiceTest, SingleTenantReplayMatchesPredictionService) {
+// A replay through FleetService under one tenant (sync retrain: the fleet
+// calls the stack's deferred-retrain Observe and trains inline) is
+// bit-for-bit the replay through a bare stack whose own Observe retrains.
+TEST(FleetServiceTest, SingleTenantReplayMatchesBareStack) {
   const fleet::InstanceTrace instance = MakeTrace(800);
 
-  serve::PredictionServiceConfig service_config;
-  service_config.predictor = FastStage();
-  service_config.cache_shards = 1;
-  service_config.async_retrain = false;
-  serve::PredictionService service(service_config,
-                                   {.instance = &instance.config});
+  TenantStack service(DeterministicFleet().stack,
+                      {.instance = &instance.config});
 
   FleetService fleet(DeterministicFleet());
   constexpr TenantId kTenant = 42;
@@ -534,8 +530,7 @@ TEST(TenantStackTest, SaveLoadStatusContract) {
   const fleet::InstanceTrace instance = MakeTrace(100);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
   for (size_t i = 0; i < contexts.size(); ++i) {
-    stack.Observe(contexts[i], instance.trace[i].exec_seconds,
-                  /*inline_retrain=*/true);
+    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
 
   std::ostringstream out;
@@ -563,6 +558,43 @@ TEST(TenantStackTest, SaveLoadStatusContract) {
     EXPECT_EQ(want.source, got.source);
     EXPECT_DOUBLE_EQ(want.seconds, got.seconds);
   }
+}
+
+// A traced predict served by the local model reports where its time went:
+// the stage-1 cache probe and the routing (model inference) split, which
+// together account for the total.
+TEST(TenantStackTest, TracedLocalPredictSplitsCacheAndRouteNanos) {
+  TenantStackConfig config;
+  config.predictor = FastStage();
+  config.cache_shards = 4;
+  TenantStack stack(config);
+  const fleet::InstanceTrace instance = MakeTrace(200);
+  const std::vector<core::QueryContext> contexts = MakeContexts(instance);
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
+  }
+  ASSERT_NE(stack.local_model_snapshot(), nullptr);
+
+  // Unseen plans miss the cache and are answered by the local model.
+  const std::vector<core::QueryContext> probes =
+      MakeContexts(MakeTrace(60, /*seed=*/777));
+  uint64_t cache_nanos = 0;
+  uint64_t route_nanos = 0;
+  int local = 0;
+  for (const core::QueryContext& probe : probes) {
+    obs::PredictionTrace trace;
+    const core::Prediction out = stack.PredictTraced(probe, &trace);
+    if (out.source != core::PredictionSource::kLocal) continue;
+    ++local;
+    EXPECT_EQ(trace.stage, obs::TraceStage::kLocal);
+    EXPECT_EQ(trace.cache_shard, probe.feature_hash % 4);
+    EXPECT_LE(trace.cache_nanos + trace.route_nanos, trace.total_nanos);
+    cache_nanos += trace.cache_nanos;
+    route_nanos += trace.route_nanos;
+  }
+  ASSERT_GT(local, 0);
+  EXPECT_GT(cache_nanos, 0u);
+  EXPECT_GT(route_nanos, 0u);
 }
 
 }  // namespace

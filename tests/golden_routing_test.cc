@@ -1,5 +1,6 @@
 // Golden routing-replay test: a fixed-seed 5k-query workload is replayed
-// through the hierarchical router and the per-query PredictionTrace stream
+// through the Stage predictor (fleet_serve::TenantStack with one cache
+// shard, Observe retraining inline) and the per-query PredictionTrace stream
 // is serialized (deterministic fields only — never latencies). Stage
 // counts, cache hit totals, escalation count, and a CRC32 of the full
 // trace stream are pinned in tests/golden/routing_v1.txt, so ANY change to
@@ -24,10 +25,10 @@
 #include "stage/common/crc32.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/global/global_model.h"
 #include "stage/obs/metrics.h"
 #include "stage/obs/trace.h"
-#include "stage/serve/prediction_service.h"
 
 #ifndef STAGE_GOLDEN_DIR
 #error "STAGE_GOLDEN_DIR must be defined by the build"
@@ -69,6 +70,12 @@ core::StagePredictorConfig CalibratedGoldenConfig() {
   config.conformal.min_window = 32;
   config.conformal.refresh_interval = 16;
   return config;
+}
+
+// The replayed stack: one cache shard, the replay-deterministic shape.
+fleet_serve::TenantStackConfig OneShard(
+    const core::StagePredictorConfig& config) {
+  return {.predictor = config, .cache_shards = 1};
 }
 
 struct GoldenWorkload {
@@ -129,8 +136,7 @@ struct ReplaySummary {
   }
 };
 
-template <typename Predictor>
-ReplaySummary ReplayTraced(Predictor& predictor) {
+ReplaySummary ReplayTraced(fleet_serve::TenantStack& predictor) {
   const GoldenWorkload& workload = Workload();
   ReplaySummary summary;
   uint32_t crc = 0;
@@ -201,7 +207,7 @@ TEST(GoldenRoutingTest, ReplayMatchesPinnedGolden) {
   options.global_model = &workload.global_model;
   options.instance = &workload.instance.config;
   options.metrics = &registry;
-  core::StagePredictor predictor(GoldenConfig(), options);
+  fleet_serve::TenantStack predictor(OneShard(GoldenConfig()), options);
 
   const ReplaySummary summary = ReplayTraced(predictor);
 
@@ -246,10 +252,11 @@ TEST(GoldenRoutingTest, CalibratedReplayMatchesPinnedGolden) {
   options.global_model = &workload.global_model;
   options.instance = &workload.instance.config;
 
-  core::StagePredictor baseline(GoldenConfig(), options);
+  fleet_serve::TenantStack baseline(OneShard(GoldenConfig()), options);
   const ReplaySummary baseline_summary = ReplayTraced(baseline);
 
-  core::StagePredictor calibrated(CalibratedGoldenConfig(), options);
+  fleet_serve::TenantStack calibrated(OneShard(CalibratedGoldenConfig()),
+                                      options);
   const ReplaySummary calibrated_summary = ReplayTraced(calibrated);
 
   // The recalibrator engaged: its window filled, the scale refreshed away
@@ -264,28 +271,6 @@ TEST(GoldenRoutingTest, CalibratedReplayMatchesPinnedGolden) {
             baseline_summary.values.at("queries"));
 
   CheckAgainstGolden(calibrated_summary.Serialize(), CalibratedGoldenPath());
-}
-
-// The serving layer must route bit-for-bit like the bare predictor: same
-// trace stream (hence same CRC), same stage counts. One shard + sync
-// retrain is the configuration documented to be replay-equivalent.
-TEST(GoldenRoutingTest, PredictionServiceMatchesPredictorTraceStream) {
-  const GoldenWorkload& workload = Workload();
-
-  core::StagePredictorOptions options;
-  options.global_model = &workload.global_model;
-  options.instance = &workload.instance.config;
-  core::StagePredictor predictor(GoldenConfig(), options);
-  const ReplaySummary predictor_summary = ReplayTraced(predictor);
-
-  serve::PredictionServiceConfig service_config;
-  service_config.predictor = GoldenConfig();
-  service_config.cache_shards = 1;
-  service_config.async_retrain = false;
-  serve::PredictionService service(service_config, options);
-  const ReplaySummary service_summary = ReplayTraced(service);
-
-  EXPECT_EQ(predictor_summary.Serialize(), service_summary.Serialize());
 }
 
 }  // namespace

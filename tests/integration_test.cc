@@ -8,6 +8,7 @@
 #include "stage/core/replay.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/global/global_model.h"
 #include "stage/metrics/error_metrics.h"
 #include "stage/metrics/prr.h"
@@ -17,11 +18,14 @@
 namespace stage {
 namespace {
 
-core::StagePredictorConfig FastStageConfig() {
-  core::StagePredictorConfig config;
-  config.local.ensemble.num_members = 5;
-  config.local.ensemble.member.num_rounds = 60;
-  config.retrain_interval = 300;
+// One cache shard: a single-threaded replay is deterministic and Observe
+// retrains inline.
+fleet_serve::TenantStackConfig FastStack() {
+  fleet_serve::TenantStackConfig config;
+  config.predictor.local.ensemble.num_members = 5;
+  config.predictor.local.ensemble.member.num_rounds = 60;
+  config.predictor.retrain_interval = 300;
+  config.cache_shards = 1;
   return config;
 }
 
@@ -54,7 +58,7 @@ std::vector<fleet::InstanceTrace>* EndToEndTest::fleet_ = nullptr;
 
 TEST_F(EndToEndTest, StageBeatsAutoWlmOnMedianError) {
   const auto& instance = (*fleet_)[0];
-  core::StagePredictor stage(FastStageConfig(), {.instance = &instance.config});
+  fleet_serve::TenantStack stage(FastStack(), {.instance = &instance.config});
   core::AutoWlmPredictor autowlm(FastAutoWlmConfig());
 
   const auto stage_result = core::ReplayTrace(instance.trace, stage);
@@ -72,7 +76,7 @@ TEST_F(EndToEndTest, StageBeatsAutoWlmOnMedianError) {
 TEST_F(EndToEndTest, CacheSubsetBeatsAutoWlmOnSameQueries) {
   // Table 3's comparison: on cache-hit queries, the cache beats AutoWLM.
   const auto& instance = (*fleet_)[1];
-  core::StagePredictor stage(FastStageConfig(), {.instance = &instance.config});
+  fleet_serve::TenantStack stage(FastStack(), {.instance = &instance.config});
   core::AutoWlmPredictor autowlm(FastAutoWlmConfig());
   const auto stage_result = core::ReplayTrace(instance.trace, stage);
   const auto auto_result = core::ReplayTrace(instance.trace, autowlm);
@@ -99,7 +103,7 @@ TEST_F(EndToEndTest, LocalUncertaintyIsInformative) {
   // PRR of the local model's uncertainty on cache-miss queries should be
   // clearly positive (paper: fleet median ~0.9; small traces are noisier).
   const auto& instance = (*fleet_)[2];
-  core::StagePredictor stage(FastStageConfig(), {.instance = &instance.config});
+  fleet_serve::TenantStack stage(FastStack(), {.instance = &instance.config});
   const auto result = core::ReplayTrace(instance.trace, stage);
 
   std::vector<double> errors;
@@ -122,7 +126,7 @@ TEST_F(EndToEndTest, WlmLatencyOrderingOptimalVsStageVsRandom) {
   // trace is compressed to realistic contention first — without queueing,
   // predictions cannot matter.
   const auto& instance = (*fleet_)[0];
-  core::StagePredictor stage(FastStageConfig(), {.instance = &instance.config});
+  fleet_serve::TenantStack stage(FastStack(), {.instance = &instance.config});
   const auto stage_result = core::ReplayTrace(instance.trace, stage);
 
   wlm::WlmConfig config;
@@ -172,10 +176,10 @@ TEST_F(EndToEndTest, GlobalModelHelpsColdStart) {
   const std::vector<fleet::QueryEvent> head(target.trace.begin(),
                                             target.trace.begin() + 200);
 
-  core::StagePredictor with_global(FastStageConfig(),
-                                   {&global_model, &target.config});
-  core::StagePredictor without_global(FastStageConfig(),
-                                      {.instance = &target.config});
+  fleet_serve::TenantStack with_global(FastStack(),
+                                       {&global_model, &target.config});
+  fleet_serve::TenantStack without_global(FastStack(),
+                                          {.instance = &target.config});
   const auto with_result = core::ReplayTrace(head, with_global);
   const auto without_result = core::ReplayTrace(head, without_global);
 

@@ -213,7 +213,7 @@ TEST(TraceTest, FormatTraceLineIsDeterministic) {
 TEST(TraceTest, RoutingMetricSetRecords) {
   MetricsRegistry registry;
   const RoutingMetricSet set =
-      RoutingMetricSet::Create(&registry, "t_", /*with_latency=*/true);
+      RoutingMetricSet::Create(&registry, "t_");
   ASSERT_TRUE(set.enabled());
   PredictionTrace trace;
   trace.stage = TraceStage::kLocal;
@@ -233,7 +233,7 @@ TEST(TraceTest, RoutingMetricSetRecords) {
 
 TEST(TraceTest, DisabledSetIsInert) {
   const RoutingMetricSet set =
-      RoutingMetricSet::Create(nullptr, "t_", /*with_latency=*/true);
+      RoutingMetricSet::Create(nullptr, "t_");
   EXPECT_FALSE(set.enabled());
 }
 
@@ -302,7 +302,7 @@ TEST(MetricsConcurrencyTest, WritersVsRenderingReader) {
 }
 
 // Registration racing render: components come and go while a reader
-// scrapes (the StagePredictor/PredictionService destructor contract).
+// scrapes (the TenantStack destructor contract).
 TEST(MetricsConcurrencyTest, RegistrationVsRender) {
   MetricsRegistry registry;
   std::atomic<bool> stop{false};

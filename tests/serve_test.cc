@@ -1,7 +1,9 @@
-// Tests for the stage::serve serving layer: single-threaded equivalence
-// with StagePredictor, sharded-cache behaviour, config validation, and the
-// multi-threaded reader/writer stress test (run it under
-// STAGE_SANITIZE=thread to prove the synchronization, see README.md).
+// Tests for the serving read path: sharded-cache behaviour, stack config
+// validation, batched-vs-looped prediction parity on a TenantStack, and
+// the single-instance serving shape (one pinned FleetService tenant) under
+// background retraining, including the multi-threaded reader/writer stress
+// test (run it under STAGE_SANITIZE=thread to prove the synchronization,
+// see README.md).
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -9,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include "stage/core/replay.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
-#include "stage/serve/prediction_service.h"
+#include "stage/fleet_serve/fleet_service.h"
+#include "stage/fleet_serve/tenant_stack.h"
+#include "stage/obs/metrics.h"
+#include "stage/obs/trace.h"
 #include "stage/serve/sharded_cache.h"
 
 namespace stage::serve {
@@ -34,6 +38,35 @@ fleet::InstanceTrace MakeTrace(int num_queries, uint64_t seed = 2024) {
   config.seed = seed;
   fleet::FleetGenerator generator(config);
   return generator.MakeInstanceTrace(0);
+}
+
+// Predictions timed into the stage_predict_latency_ns{stage=...} family of
+// a stack registered under the default prefix.
+uint64_t TimedPredictions(obs::MetricsRegistry& registry) {
+  uint64_t total = 0;
+  for (int i = 0; i < obs::kNumTraceStages; ++i) {
+    total += registry
+                 .GetHistogram(
+                     "stage_predict_latency_ns{stage=\"" +
+                         std::string(obs::TraceStageName(
+                             static_cast<obs::TraceStage>(i))) +
+                         "\"}",
+                     obs::Histogram::LatencyBucketsNanos())
+                 .count();
+  }
+  return total;
+}
+
+// One instance served concurrently: tenant 0 of a fleet, pinned warm.
+constexpr fleet_serve::TenantId kTenant = 0;
+
+fleet_serve::FleetServiceConfig ServingConfig(
+    const core::StagePredictorConfig& predictor) {
+  fleet_serve::FleetServiceConfig config;
+  config.stack.predictor = predictor;
+  config.async_retrain = true;
+  config.max_concurrent_trainings = 1;
+  return config;
 }
 
 std::vector<core::QueryContext> MakeContexts(
@@ -117,7 +150,7 @@ TEST(ShardedCacheTest, CeilDivisionOverProvisionsAggregateCapacity) {
 }
 
 TEST(ServiceConfigTest, ValidateRejectsNonsense) {
-  PredictionServiceConfig config;
+  fleet_serve::TenantStackConfig config;
   EXPECT_TRUE(config.Validate().empty());
 
   config.cache_shards = 0;
@@ -147,69 +180,28 @@ TEST(ServiceConfigTest, ValidateRejectsNonsense) {
   EXPECT_TRUE(config.Validate().empty());
 }
 
-// Acceptance bar: with one shard and inline (synchronous) retraining, a
-// single-threaded replay through the service is bit-for-bit identical to
-// the same replay through StagePredictor — every prediction, every source,
-// every attribution counter.
-TEST(PredictionServiceTest, SingleThreadedReplayMatchesStagePredictor) {
-  const fleet::InstanceTrace instance = MakeTrace(1200);
-
-  core::StagePredictor reference(FastStage(), {.instance = &instance.config});
-  PredictionServiceConfig service_config;
-  service_config.predictor = FastStage();
-  service_config.cache_shards = 1;
-  service_config.async_retrain = false;
-  PredictionService service(service_config, {.instance = &instance.config});
-
-  const core::ReplayResult expected =
-      core::ReplayTrace(instance.trace, reference);
-  const core::ReplayResult got = core::ReplayTrace(instance.trace, service);
-
-  ASSERT_EQ(expected.records.size(), got.records.size());
-  for (size_t i = 0; i < expected.records.size(); ++i) {
-    EXPECT_EQ(expected.records[i].source, got.records[i].source) << i;
-    EXPECT_DOUBLE_EQ(expected.records[i].predicted_seconds,
-                     got.records[i].predicted_seconds)
-        << i;
-  }
-  for (int s = 0; s < core::kNumPredictionSources; ++s) {
-    const auto source = static_cast<core::PredictionSource>(s);
-    EXPECT_EQ(reference.predictions_from(source),
-              service.predictions_from(source))
-        << core::PredictionSourceName(source);
-  }
-  EXPECT_EQ(reference.exec_time_cache().hits(),
-            service.exec_time_cache().hits());
-  EXPECT_EQ(reference.exec_time_cache().misses(),
-            service.exec_time_cache().misses());
-  EXPECT_EQ(reference.exec_time_cache().evictions(),
-            service.exec_time_cache().evictions());
-  EXPECT_EQ(static_cast<int>(reference.local_model().trainings()),
-            service.trainings());
-}
-
 TEST(PredictionServiceTest, PredictBatchMatchesLoopedPredict) {
   const fleet::InstanceTrace instance = MakeTrace(400);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
 
-  PredictionServiceConfig config;
-  config.predictor = FastStage();
-  config.async_retrain = false;
-  PredictionService service(config, {.instance = &instance.config});
+  obs::MetricsRegistry registry;
+  fleet_serve::TenantStack stack(
+      {.predictor = FastStage()},
+      {.instance = &instance.config, .metrics = &registry});
   for (size_t i = 0; i < contexts.size(); ++i) {
-    service.Observe(contexts[i], instance.trace[i].exec_seconds);
+    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
 
-  const std::vector<core::Prediction> batch = service.PredictBatch(contexts);
+  const std::vector<core::Prediction> batch = stack.PredictBatch(contexts);
   ASSERT_EQ(batch.size(), contexts.size());
   for (size_t i = 0; i < contexts.size(); ++i) {
-    const core::Prediction single = service.Predict(contexts[i]);
+    const core::Prediction single = stack.Predict(contexts[i]);
     EXPECT_EQ(batch[i].source, single.source) << i;
     EXPECT_DOUBLE_EQ(batch[i].seconds, single.seconds) << i;
   }
-  // Every prediction was attributed and counted.
-  EXPECT_EQ(service.total_predictions(), 2 * contexts.size());
-  EXPECT_EQ(service.predict_latency().total_count(), 2 * contexts.size());
+  // Every prediction was attributed, counted, and timed.
+  EXPECT_EQ(stack.total_predictions(), 2 * contexts.size());
+  EXPECT_EQ(TimedPredictions(registry), 2 * contexts.size());
 }
 
 TEST(PredictionServiceTest, PredictBatchWithEscalationsMatchesLoopedPredict) {
@@ -235,24 +227,25 @@ TEST(PredictionServiceTest, PredictBatchWithEscalationsMatchesLoopedPredict) {
   const global::GlobalModel global_model =
       global::GlobalModel::Train(examples, global_config);
 
-  PredictionServiceConfig config;
+  fleet_serve::TenantStackConfig config;
   config.predictor = FastStage();
   config.predictor.short_running_seconds = 0.0;
   config.predictor.uncertainty_log_std_threshold = 0.0;
-  config.async_retrain = false;
-  PredictionService service(
-      config, {.global_model = &global_model, .instance = &instance.config});
+  obs::MetricsRegistry registry;
+  fleet_serve::TenantStack stack(config, {.global_model = &global_model,
+                                          .instance = &instance.config,
+                                          .metrics = &registry});
   for (size_t i = 0; i + 100 < contexts.size(); ++i) {
-    service.Observe(contexts[i], instance.trace[i].exec_seconds);
+    stack.Observe(contexts[i], instance.trace[i].exec_seconds);
   }
-  ASSERT_NE(service.local_model_snapshot(), nullptr);
+  ASSERT_NE(stack.local_model_snapshot(), nullptr);
 
-  const std::vector<core::Prediction> batch = service.PredictBatch(contexts);
+  const std::vector<core::Prediction> batch = stack.PredictBatch(contexts);
   ASSERT_EQ(batch.size(), contexts.size());
   bool any_cache = false;
   bool any_global = false;
   for (size_t i = 0; i < contexts.size(); ++i) {
-    const core::Prediction single = service.Predict(contexts[i]);
+    const core::Prediction single = stack.Predict(contexts[i]);
     EXPECT_EQ(batch[i].source, single.source) << i;
     EXPECT_EQ(batch[i].seconds, single.seconds) << i;
     any_cache |= batch[i].source == core::PredictionSource::kCache;
@@ -260,37 +253,37 @@ TEST(PredictionServiceTest, PredictBatchWithEscalationsMatchesLoopedPredict) {
   }
   EXPECT_TRUE(any_cache);
   EXPECT_TRUE(any_global);
-  EXPECT_EQ(service.total_predictions(), 2 * contexts.size());
-  EXPECT_EQ(service.predict_latency().total_count(), 2 * contexts.size());
+  EXPECT_EQ(stack.total_predictions(), 2 * contexts.size());
+  EXPECT_EQ(TimedPredictions(registry), 2 * contexts.size());
 }
 
 TEST(PredictionServiceTest, AsyncRetrainPublishesModelInBackground) {
   const fleet::InstanceTrace instance = MakeTrace(600);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
 
-  PredictionServiceConfig config;
-  config.predictor = FastStage();
-  config.async_retrain = true;
-  PredictionService service(config, {.instance = &instance.config});
+  fleet_serve::FleetService fleet(ServingConfig(FastStage()));
+  fleet.RegisterTenant(kTenant, {.instance = &instance.config});
+  const std::shared_ptr<fleet_serve::TenantStack> stack =
+      fleet.PinTenant(kTenant);
 
-  EXPECT_EQ(service.local_model_snapshot(), nullptr);
+  EXPECT_EQ(stack->local_model_snapshot(), nullptr);
   for (size_t i = 0; i < contexts.size(); ++i) {
-    service.Predict(contexts[i]);
-    service.Observe(contexts[i], instance.trace[i].exec_seconds);
+    stack->Predict(contexts[i]);
+    fleet.Observe(kTenant, contexts[i], instance.trace[i].exec_seconds);
   }
-  service.WaitForRetrain();
-  EXPECT_GE(service.trainings(), 1);
-  const auto model = service.local_model_snapshot();
+  fleet.WaitForRetrain();
+  EXPECT_GE(stack->trainings(), 1);
+  const auto model = stack->local_model_snapshot();
   ASSERT_NE(model, nullptr);
   EXPECT_TRUE(model->trained());
   // A fresh (uncached) query is now served by the swapped-in local model.
   const fleet::InstanceTrace probe = MakeTrace(10, /*seed=*/999);
   const core::Prediction prediction =
-      service.Predict(MakeContexts(probe).front());
+      stack->Predict(MakeContexts(probe).front());
   EXPECT_NE(prediction.source, core::PredictionSource::kDefault);
 }
 
-// The issue's stress test: 8 reader threads hammering Predict/PredictBatch
+// Stress test: 8 reader threads hammering Predict/PredictBatch
 // race one writer replaying the trace (Observe) across several retrain
 // boundaries. Asserts no lost counters (every prediction attributed, every
 // cache lookup counted) and monotone attribution totals. Run under TSan to
@@ -299,12 +292,15 @@ TEST(PredictionServiceTest, ConcurrentReadersWithRetrainingWriter) {
   const fleet::InstanceTrace instance = MakeTrace(1500);
   const std::vector<core::QueryContext> contexts = MakeContexts(instance);
 
-  PredictionServiceConfig config;
-  config.predictor = FastStage();
-  config.predictor.retrain_interval = 150;  // Several retrains per replay.
-  config.cache_shards = 8;
-  config.async_retrain = true;
-  PredictionService service(config, {.instance = &instance.config});
+  core::StagePredictorConfig predictor = FastStage();
+  predictor.retrain_interval = 150;  // Several retrains per replay.
+  obs::MetricsRegistry registry;
+  fleet_serve::FleetService fleet(ServingConfig(predictor));
+  fleet.RegisterTenant(kTenant,
+                       {.instance = &instance.config, .metrics = &registry});
+  const std::shared_ptr<fleet_serve::TenantStack> stack =
+      fleet.PinTenant(kTenant);
+  ASSERT_EQ(stack->exec_time_cache().num_shards(), 8u);
 
   constexpr int kNumReaders = 8;
   constexpr int kPredictsPerReader = 3000;
@@ -325,14 +321,14 @@ TEST(PredictionServiceTest, ConcurrentReadersWithRetrainingWriter) {
           const size_t begin = at % (contexts.size() - kBatchSize);
           const std::span<const core::QueryContext> window(
               contexts.data() + begin, kBatchSize);
-          made += service.PredictBatch(window).size();
+          made += stack->PredictBatch(window).size();
         } else {
-          service.Predict(contexts[at % contexts.size()]);
+          stack->Predict(contexts[at % contexts.size()]);
           ++made;
         }
         at += 127;
         // Attribution totals only ever grow, even mid-retrain-swap.
-        const uint64_t total = service.total_predictions();
+        const uint64_t total = stack->total_predictions();
         EXPECT_GE(total, last_total);
         last_total = total;
       }
@@ -342,8 +338,8 @@ TEST(PredictionServiceTest, ConcurrentReadersWithRetrainingWriter) {
 
   std::thread writer([&] {
     for (size_t i = 0; i < contexts.size(); ++i) {
-      service.Predict(contexts[i]);  // The serving flow: predict, run, observe.
-      service.Observe(contexts[i], instance.trace[i].exec_seconds);
+      stack->Predict(contexts[i]);  // The serving flow: predict, run, observe.
+      fleet.Observe(kTenant, contexts[i], instance.trace[i].exec_seconds);
     }
     writer_done.store(true);
   });
@@ -351,21 +347,21 @@ TEST(PredictionServiceTest, ConcurrentReadersWithRetrainingWriter) {
   for (std::thread& reader : readers) reader.join();
   writer.join();
   ASSERT_TRUE(writer_done.load());
-  service.WaitForRetrain();
+  fleet.WaitForRetrain();
 
   // No lost attribution: readers + writer predictions all counted.
   const uint64_t expected_predictions =
       reader_predictions.load() + contexts.size();
-  EXPECT_EQ(service.total_predictions(), expected_predictions);
+  EXPECT_EQ(stack->total_predictions(), expected_predictions);
   // No lost cache counters: every Predict did exactly one cache lookup.
-  EXPECT_EQ(service.exec_time_cache().hits() +
-                service.exec_time_cache().misses(),
+  EXPECT_EQ(stack->exec_time_cache().hits() +
+                stack->exec_time_cache().misses(),
             expected_predictions);
   // Per-source latency telemetry saw every prediction too.
-  EXPECT_EQ(service.predict_latency().total_count(), expected_predictions);
+  EXPECT_EQ(TimedPredictions(registry), expected_predictions);
   // The writer crossed retrain boundaries and models were swapped in.
-  EXPECT_GE(service.trainings(), 1);
-  ASSERT_NE(service.local_model_snapshot(), nullptr);
+  EXPECT_GE(stack->trainings(), 1);
+  ASSERT_NE(stack->local_model_snapshot(), nullptr);
 }
 
 }  // namespace

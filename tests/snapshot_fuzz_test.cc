@@ -11,7 +11,8 @@
 //      the snapshot) or fail with a clean `false` + error message.
 //
 // This generalizes the stride-64 CorruptionSuite in ckpt_test.cc down to
-// every byte boundary and up through all three snapshot kinds.
+// every byte boundary and up through the predictor-stack (SSRV), local
+// model and recalibrator snapshot kinds.
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -26,8 +27,8 @@
 #include "stage/common/rng.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/local/local_model.h"
-#include "stage/serve/prediction_service.h"
 #include "test_temp_dir.h"
 
 namespace stage::ckpt {
@@ -47,12 +48,8 @@ core::StagePredictorConfig TinyStage() {
   return config;
 }
 
-serve::PredictionServiceConfig TinyService() {
-  serve::PredictionServiceConfig config;
-  config.predictor = TinyStage();
-  config.cache_shards = 2;
-  config.async_retrain = false;
-  return config;
+fleet_serve::TenantStackConfig TinyService() {
+  return {.predictor = TinyStage(), .cache_shards = 2};
 }
 
 calib::ConformalConfig TinyConformal() {
@@ -101,8 +98,7 @@ std::vector<double> ExecTimes() {
 
 // Predictions over the probe set: the state fingerprint used to prove
 // "unchanged" and "bit-for-bit restored".
-template <typename Predictor>
-std::vector<double> Fingerprint(const Predictor& predictor) {
+std::vector<double> Fingerprint(const fleet_serve::TenantStack& predictor) {
   std::vector<double> out;
   for (const core::QueryContext& context : ProbeContexts()) {
     out.push_back(predictor.Predict(context).seconds);
@@ -125,24 +121,24 @@ std::string ReadFileBytes(const std::string& path) {
   return buffer.str();
 }
 
-// The fuzz harness fixture: builds one exercised service + predictor +
-// local model, snapshots each, and exposes TryLoad* helpers that assert
-// the no-partial-state property on every failed load.
+// The fuzz harness fixture: builds one exercised predictor stack (whose
+// SSRV stream carries the cache, pool, cadence and local model) plus a
+// recalibrator, snapshots each and the stack's local model, and exposes a
+// TryLoadService helper that asserts the no-partial-state property on
+// every failed load.
 class SnapshotFuzzTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    service_ = new serve::PredictionService(TinyService());
-    predictor_ = new core::StagePredictor(TinyStage());
+    service_ = new fleet_serve::TenantStack(TinyService());
     const auto contexts = ProbeContexts();
     const auto exec_times = ExecTimes();
     for (size_t i = 0; i < contexts.size(); ++i) {
       service_->Predict(contexts[i]);
       service_->Observe(contexts[i], exec_times[i]);
-      predictor_->Predict(contexts[i]);
-      predictor_->Observe(contexts[i], exec_times[i]);
     }
     ASSERT_GT(service_->trainings(), 0);
-    ASSERT_TRUE(predictor_->local_model().trained());
+    ASSERT_NE(service_->local_model_snapshot(), nullptr);
+    ASSERT_TRUE(service_->local_model_snapshot()->trained());
 
     recalibrator_ = new calib::ConformalRecalibrator(TinyConformal());
     {
@@ -155,19 +151,16 @@ class SnapshotFuzzTest : public ::testing::Test {
     ASSERT_NE(recalibrator_->scale(), 1.0);
 
     service_bytes_ = new std::string();
-    predictor_bytes_ = new std::string();
     model_bytes_ = new std::string();
     recalibrator_bytes_ = new std::string();
     const std::string service_path = TempPath("fuzz_service.snap");
-    const std::string predictor_path = TempPath("fuzz_predictor.snap");
     const std::string model_path = TempPath("fuzz_model.snap");
     const std::string recalibrator_path = TempPath("fuzz_recal.snap");
     ASSERT_TRUE(SaveServiceSnapshot(*service_, service_path));
-    ASSERT_TRUE(SavePredictorSnapshot(*predictor_, predictor_path));
-    ASSERT_TRUE(SaveLocalModelSnapshot(predictor_->local_model(), model_path));
+    ASSERT_TRUE(
+        SaveLocalModelSnapshot(*service_->local_model_snapshot(), model_path));
     ASSERT_TRUE(SaveRecalibratorSnapshot(*recalibrator_, recalibrator_path));
     *service_bytes_ = ReadFileBytes(service_path);
-    *predictor_bytes_ = ReadFileBytes(predictor_path);
     *model_bytes_ = ReadFileBytes(model_path);
     *recalibrator_bytes_ = ReadFileBytes(recalibrator_path);
     ASSERT_GT(service_bytes_->size(), 24u);  // More than the envelope header.
@@ -176,26 +169,23 @@ class SnapshotFuzzTest : public ::testing::Test {
 
   static void TearDownTestSuite() {
     delete service_;
-    delete predictor_;
     delete recalibrator_;
     delete service_bytes_;
-    delete predictor_bytes_;
     delete model_bytes_;
     delete recalibrator_bytes_;
     service_ = nullptr;
-    predictor_ = nullptr;
     recalibrator_ = nullptr;
-    service_bytes_ = predictor_bytes_ = model_bytes_ = nullptr;
+    service_bytes_ = model_bytes_ = nullptr;
     recalibrator_bytes_ = nullptr;
   }
 
-  // Loads mutated service-snapshot bytes into a scratch service that
+  // Loads mutated service-snapshot bytes into a scratch stack that
   // already holds state, returning the decoder's verdict. On failure the
   // scratch state must be untouched; on success it must match the
-  // snapshotted service bit-for-bit.
+  // snapshotted stack bit-for-bit.
   static bool TryLoadService(const std::string& bytes,
                              const std::string& label) {
-    static serve::PredictionService scratch(TinyService());
+    static fleet_serve::TenantStack scratch(TinyService());
     static const std::vector<double> before = Fingerprint(scratch);
     const std::string path = TempPath("fuzz_mut_service.snap");
     WriteFileBytes(path, bytes);
@@ -213,20 +203,16 @@ class SnapshotFuzzTest : public ::testing::Test {
     return ok;
   }
 
-  static serve::PredictionService* service_;
-  static core::StagePredictor* predictor_;
+  static fleet_serve::TenantStack* service_;
   static calib::ConformalRecalibrator* recalibrator_;
   static std::string* service_bytes_;
-  static std::string* predictor_bytes_;
   static std::string* model_bytes_;
   static std::string* recalibrator_bytes_;
 };
 
-serve::PredictionService* SnapshotFuzzTest::service_ = nullptr;
-core::StagePredictor* SnapshotFuzzTest::predictor_ = nullptr;
+fleet_serve::TenantStack* SnapshotFuzzTest::service_ = nullptr;
 calib::ConformalRecalibrator* SnapshotFuzzTest::recalibrator_ = nullptr;
 std::string* SnapshotFuzzTest::service_bytes_ = nullptr;
-std::string* SnapshotFuzzTest::predictor_bytes_ = nullptr;
 std::string* SnapshotFuzzTest::model_bytes_ = nullptr;
 std::string* SnapshotFuzzTest::recalibrator_bytes_ = nullptr;
 
@@ -234,7 +220,7 @@ std::string* SnapshotFuzzTest::recalibrator_bytes_ = nullptr;
 //    leaves the target untouched.
 
 TEST_F(SnapshotFuzzTest, ServiceTruncationAtEveryByteBoundary) {
-  serve::PredictionService scratch(TinyService());
+  fleet_serve::TenantStack scratch(TinyService());
   const std::vector<double> before = Fingerprint(scratch);
   const std::string path = TempPath("fuzz_trunc_service.snap");
   for (size_t cut = 0; cut < service_bytes_->size(); ++cut) {
@@ -253,24 +239,6 @@ TEST_F(SnapshotFuzzTest, ServiceTruncationAtEveryByteBoundary) {
   WriteFileBytes(path, *service_bytes_);
   ASSERT_TRUE(LoadServiceSnapshot(&scratch, path));
   EXPECT_EQ(Fingerprint(scratch), Fingerprint(*service_));
-}
-
-TEST_F(SnapshotFuzzTest, PredictorTruncationAtEveryByteBoundary) {
-  core::StagePredictor scratch(TinyStage());
-  const std::vector<double> before = Fingerprint(scratch);
-  const std::string path = TempPath("fuzz_trunc_predictor.snap");
-  for (size_t cut = 0; cut < predictor_bytes_->size(); ++cut) {
-    WriteFileBytes(path, predictor_bytes_->substr(0, cut));
-    ASSERT_FALSE(LoadPredictorSnapshot(&scratch, path))
-        << "truncation at byte " << cut << " was accepted";
-    if (cut % 97 == 0) {
-      ASSERT_EQ(Fingerprint(scratch), before) << "state leak at byte " << cut;
-    }
-  }
-  ASSERT_EQ(Fingerprint(scratch), before);
-  WriteFileBytes(path, *predictor_bytes_);
-  ASSERT_TRUE(LoadPredictorSnapshot(&scratch, path));
-  EXPECT_EQ(Fingerprint(scratch), Fingerprint(*predictor_));
 }
 
 TEST_F(SnapshotFuzzTest, LocalModelTruncationAtEveryByteBoundary) {
@@ -434,20 +402,17 @@ TEST_F(SnapshotFuzzTest, ServiceLengthFieldInflation) {
 TEST_F(SnapshotFuzzTest, KindConfusionIsRejected) {
   const std::string path = TempPath("fuzz_kind.snap");
   WriteFileBytes(path, *model_bytes_);  // A valid kLocalModel envelope.
-  serve::PredictionService service_scratch(TinyService());
-  core::StagePredictor predictor_scratch(TinyStage());
+  fleet_serve::TenantStack service_scratch(TinyService());
   calib::ConformalRecalibrator recalibrator_scratch(TinyConformal());
   std::string error;
   EXPECT_FALSE(LoadServiceSnapshot(&service_scratch, path, &error));
   EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(LoadPredictorSnapshot(&predictor_scratch, path));
   EXPECT_FALSE(LoadRecalibratorSnapshot(&recalibrator_scratch, path));
 
   // And the reverse direction: a valid recalibrator envelope must be
   // rejected by every other kind's loader.
   WriteFileBytes(path, *recalibrator_bytes_);
   EXPECT_FALSE(LoadServiceSnapshot(&service_scratch, path));
-  EXPECT_FALSE(LoadPredictorSnapshot(&predictor_scratch, path));
   local::LocalModel model_scratch(TinyStage().local);
   EXPECT_FALSE(LoadLocalModelSnapshot(&model_scratch, path));
 }

@@ -13,7 +13,7 @@
 #include "stage/core/predictor.h"
 #include "stage/obs/metrics.h"
 #include "stage/fleet/fleet.h"
-#include "stage/serve/prediction_service.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/wlm/closed_loop.h"
 #include "stage/wlm/policy.h"
 #include "stage/wlm/trace_util.h"
@@ -57,7 +57,6 @@ class FrozenPredictor final : public core::ExecTimePredictor {
     return out;
   }
   void Observe(const core::QueryContext&, double) override { ++observes_; }
-  std::string_view name() const override { return "Frozen"; }
 
   size_t observes() const { return observes_; }
 
@@ -122,7 +121,7 @@ TEST(ClosedLoopTest, OracleSchedulesOnTruth) {
   EXPECT_EQ(result.wlm.short_queue_admissions, 2);
 }
 
-// The tentpole behavior: a live PredictionService in the loop adapts
+// The closed loop's point: a live predictor stack in the loop adapts
 // mid-run. Twelve executions of one 50s dashboard query: the first six
 // arrive cold (default 1s prediction -> short queue, head-of-line
 // blocking); by the time the last six arrive, the first completion has been
@@ -135,10 +134,7 @@ TEST(ClosedLoopTest, CacheAdaptationRoutesRepeatsMidRun) {
   for (int i = 0; i < 6; ++i) spec.emplace_back(60000 + i, 50.0);
   const auto trace = MakeTrace(spec);
 
-  serve::PredictionServiceConfig service_config;
-  service_config.cache_shards = 1;
-  service_config.async_retrain = false;
-  serve::PredictionService service(service_config);
+  fleet_serve::TenantStack service({.cache_shards = 1});
 
   ClosedLoopConfig config;
   config.wlm.short_slots = 1;

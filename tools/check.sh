@@ -17,6 +17,22 @@ jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
+# Runs one gtest binary under --gtest_filter and fails when the filter
+# selects no test. gtest 1.12 has no --gtest_fail_if_no_test_selected, and
+# a filtered gate that a rename emptied would otherwise pass silently.
+run_filtered() {
+  local binary="$1" filter="$2" out
+  if ! out="$("${binary}" --gtest_filter="${filter}" 2>&1)"; then
+    printf '%s\n' "${out}"
+    return 1
+  fi
+  printf '%s\n' "${out}"
+  if grep -q '^\[==========\] 0 tests from' <<< "${out}"; then
+    echo "error: --gtest_filter='${filter}' selected no test in ${binary}" >&2
+    return 1
+  fi
+}
+
 build_and_test() {
   local name="$1" sanitize="$2"
   local build_dir="${repo_root}/build-check-${name}"
@@ -38,7 +54,7 @@ build_and_test release ""
 echo "=== [release] parallel repeat lane (snapshot/checkpoint/fleet suites) ==="
 (cd "${repo_root}/build-check-release" && \
   ctest --output-on-failure -j "${jobs}" --repeat until-fail:5 \
-    -R 'Snapshot|Checkpoint|CorruptionSuite|FleetService')
+    --no-tests=error -R 'Snapshot|Checkpoint|CorruptionSuite|FleetService')
 
 echo "=== [release] GBT hot-path bench smoke (STAGE_BENCH_FAST=1) ==="
 (cd "${repo_root}/build-check-release/bench" && \
@@ -131,12 +147,12 @@ echo "=== stats exposition OK ==="
 if [[ "${fast}" -eq 0 ]]; then
   build_and_test asan address
   echo "=== [asan] checkpoint corruption fault-injection suite ==="
-  "${repo_root}/build-check-asan/tests/ckpt_test" \
-    --gtest_filter='CorruptionSuite*'
+  run_filtered "${repo_root}/build-check-asan/tests/ckpt_test" \
+    'CorruptionSuite*'
   echo "=== [asan] calibration suite + snapshot fuzz (new ckpt kind) ==="
   "${repo_root}/build-check-asan/tests/calib_test"
-  "${repo_root}/build-check-asan/tests/snapshot_fuzz_test" \
-    --gtest_filter='SnapshotFuzzTest.Recalibrator*'
+  run_filtered "${repo_root}/build-check-asan/tests/snapshot_fuzz_test" \
+    'SnapshotFuzzTest.Recalibrator*'
   echo "=== [asan] fleet serving suite ==="
   "${repo_root}/build-check-asan/tests/fleet_serve_test"
   echo "=== [asan] wire-protocol fuzz suite (truncation/bit-flip/length lies) ==="
@@ -149,19 +165,19 @@ if [[ "${fast}" -eq 0 ]]; then
   # tenant threads predicting/observing while an evictor parks and
   # reactivates their stacks.
   echo "=== [tsan] fleet serving concurrency gate ==="
-  "${repo_root}/build-check-tsan/tests/fleet_serve_test" \
-    --gtest_filter='FleetServiceTest.ConcurrentDisjointTenantsWithEvictorChurn'
+  run_filtered "${repo_root}/build-check-tsan/tests/fleet_serve_test" \
+    'FleetServiceTest.ConcurrentDisjointTenantsWithEvictorChurn'
   # Readers predicting (lock-free scale loads) while the recalibrator
   # observes completions: the §4.8 concurrency acceptance gate.
   echo "=== [tsan] calibration concurrency gate ==="
-  "${repo_root}/build-check-tsan/tests/calib_test" \
-    --gtest_filter='CalibConcurrencyTest.ReadersPredictWhileRecalibratorObserves'
+  run_filtered "${repo_root}/build-check-tsan/tests/calib_test" \
+    'CalibConcurrencyTest.ReadersPredictWhileRecalibratorObserves'
   # Multi-connection blast + graceful shutdown over real sockets: the
   # network edge's TSan acceptance gate (workers, batcher thread, listener
   # and client threads all racing).
   echo "=== [tsan] network serving concurrency gate ==="
-  "${repo_root}/build-check-tsan/tests/net_test" \
-    --gtest_filter='NetStressTest.*'
+  run_filtered "${repo_root}/build-check-tsan/tests/net_test" \
+    'NetStressTest.*'
 fi
 
 echo "=== all checks passed ==="

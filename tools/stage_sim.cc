@@ -9,15 +9,16 @@
 //   wlm           End-to-end closed-loop workload-manager comparison: the
 //                 predictor runs inside the queue simulation (Predict at
 //                 admission, Observe at completion), per --policy.
-//   serve         Drive the concurrent PredictionService: one writer
-//                 replays the trace while N reader threads predict; prints
-//                 attribution, cache stats, and per-source latency/QPS.
-//   stats         Replay a trace through an instrumented PredictionService
+//   serve         Serve one instance concurrently (a pinned FleetService
+//                 tenant): one writer replays the trace while N reader
+//                 threads predict; prints attribution, cache stats, and
+//                 per-source latency/QPS.
+//   stats         Replay a trace through an instrumented pinned tenant
 //                 and dump the full metrics registry (Prometheus text, or
 //                 JSON with --json). With --out the periodic checkpointer
 //                 runs too, so its snapshot metrics show up in the dump.
 //   snapshot      Replay the first --stop_after events of a trace through
-//                 a PredictionService and publish a crash-safe snapshot
+//                 a predictor stack and publish a crash-safe snapshot
 //                 (CRC-checked, atomic-rename) of the full predictor state.
 //   fleet-serve   Serve every instance of the generated fleet as a
 //                 FleetService tenant: N threads replay the traces under an
@@ -71,13 +72,14 @@
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
 #include "stage/fleet_serve/fleet_service.h"
+#include "stage/fleet_serve/tenant_stack.h"
 #include "stage/global/global_model.h"
 #include "stage/metrics/error_metrics.h"
+#include "stage/metrics/latency_recorder.h"
 #include "stage/metrics/report.h"
 #include "stage/net/loadgen.h"
 #include "stage/net/server.h"
 #include "stage/obs/metrics.h"
-#include "stage/serve/prediction_service.h"
 #include "stage/wlm/policy.h"
 #include "stage/wlm/trace_util.h"
 #include "stage/wlm/workload_manager.h"
@@ -186,6 +188,17 @@ core::StagePredictorConfig StageConfigFromFlags(const Flags& flags) {
       static_cast<int>(flags.GetInt("members", 10));
   config.local.ensemble.member.num_rounds =
       static_cast<int>(flags.GetInt("rounds", 100));
+  return config;
+}
+
+// One stack's shape: the predictor knobs plus --shards (default
+// `default_shards`).
+fleet_serve::TenantStackConfig StackConfigFromFlags(const Flags& flags,
+                                                    int64_t default_shards) {
+  fleet_serve::TenantStackConfig config;
+  config.predictor = StageConfigFromFlags(flags);
+  config.cache_shards =
+      static_cast<size_t>(flags.GetInt("shards", default_shards));
   return config;
 }
 
@@ -298,7 +311,9 @@ int RunReplay(const Flags& flags) {
     // counters accumulate across instances, and each predictor's component
     // callbacks unregister at destruction before the next one registers.
     if (!metrics_out.empty()) options.metrics = &registry;
-    core::StagePredictor stage(StageConfigFromFlags(flags), options);
+    fleet_serve::TenantStack stage({.predictor = StageConfigFromFlags(flags),
+                                    .cache_shards = 1},
+                                   options);
     core::AutoWlmPredictor autowlm{core::AutoWlmConfig{}};
     const auto stage_result = core::ReplayTrace(instance.trace, stage);
     const auto autowlm_result = core::ReplayTrace(instance.trace, autowlm);
@@ -379,7 +394,9 @@ int RunCalibrate(const Flags& flags) {
     core::StagePredictorOptions options;
     options.global_model = use_global ? &global_model : nullptr;
     options.instance = &instance.config;
-    core::StagePredictor predictor(StageConfigFromFlags(flags), options);
+    fleet_serve::TenantStack predictor(
+        {.predictor = StageConfigFromFlags(flags), .cache_shards = 1},
+        options);
     calib::ConformalRecalibrator shadow(conformal);
     for (const fleet::QueryEvent& event : instance.trace) {
       const core::QueryContext context = core::MakeQueryContext(
@@ -548,14 +565,12 @@ int RunSnapshot(const Flags& flags) {
   fleet::FleetGenerator generator(FleetFromFlags(flags));
   const fleet::InstanceTrace instance = generator.MakeInstanceTrace(0);
 
-  serve::PredictionServiceConfig config;
-  config.predictor = StageConfigFromFlags(flags);
-  config.cache_shards = static_cast<size_t>(flags.GetInt("shards", 1));
-  // Suspend/resume is a deterministic-replay workflow: retrain inline so
-  // the snapshot captures the exact state after --stop_after events.
-  config.async_retrain = false;
-  serve::PredictionService service(
-      config, {use_global ? &global_model : nullptr, &instance.config});
+  // Suspend/resume is a deterministic-replay workflow: the stack's own
+  // Observe retrains inline, so the snapshot captures the exact state after
+  // --stop_after events.
+  fleet_serve::TenantStack stack(
+      StackConfigFromFlags(flags, 1),
+      {use_global ? &global_model : nullptr, &instance.config});
 
   size_t stop_after = static_cast<size_t>(
       flags.GetInt("stop_after", static_cast<int64_t>(instance.trace.size())));
@@ -565,13 +580,13 @@ int RunSnapshot(const Flags& flags) {
     const core::QueryContext context = core::MakeQueryContext(
         event.plan, event.concurrent_queries,
         static_cast<uint64_t>(event.arrival_ms));
-    service.Predict(context);
-    service.Observe(context, event.exec_seconds);
+    stack.Predict(context);
+    stack.Observe(context, event.exec_seconds);
   }
 
   const std::string path = flags.GetString("out", "stage_snapshot.bin");
   std::string error;
-  if (!ckpt::SaveServiceSnapshot(service, path, &error)) {
+  if (!ckpt::SaveServiceSnapshot(stack, path, &error)) {
     std::fprintf(stderr, "error: snapshot failed: %s\n", error.c_str());
     return 1;
   }
@@ -581,11 +596,45 @@ int RunSnapshot(const Flags& flags) {
       "resume: stage_sim serve --restore_from=%s --skip=%zu --shards=%zu "
       "--sync [same --instances/--queries/--seed/--rounds/--members]\n",
       stop_after, instance.trace.size(), path.c_str(),
-      service.exec_time_cache().size(),
-      service.exec_time_cache().num_shards(), service.pool_size(),
-      service.trainings(), path.c_str(), stop_after,
-      service.exec_time_cache().num_shards());
+      stack.exec_time_cache().size(), stack.exec_time_cache().num_shards(),
+      stack.pool_size(), stack.trainings(), path.c_str(), stop_after,
+      stack.exec_time_cache().num_shards());
   return 0;
+}
+
+// One instance served concurrently: tenant 0 of a fleet, pinned warm so
+// readers predict straight on its stack while Observe goes through the
+// fleet (background retrain unless --sync).
+constexpr fleet_serve::TenantId kServedTenant = 0;
+
+fleet_serve::FleetServiceConfig ServedFleetConfig(const Flags& flags,
+                                                  int64_t default_shards) {
+  fleet_serve::FleetServiceConfig config;
+  config.stack = StackConfigFromFlags(flags, default_shards);
+  config.async_retrain = !flags.GetBool("sync", false);
+  // One worker: serialized trainings, repeat requests coalescing into one
+  // follow-up run.
+  config.max_concurrent_trainings = 1;
+  return config;
+}
+
+// Per-source predict latency/QPS of the stack registered under `prefix`,
+// read from its <prefix>predict_latency_ns{stage=...} histograms.
+std::string RenderPredictLatency(obs::MetricsRegistry& registry,
+                                 const std::string& prefix,
+                                 double elapsed_seconds) {
+  std::vector<std::string> names;
+  std::vector<obs::Histogram::Snapshot> slots;
+  for (int i = 0; i < core::kNumPredictionSources; ++i) {
+    names.emplace_back(
+        core::PredictionSourceName(static_cast<core::PredictionSource>(i)));
+    slots.push_back(registry
+                        .GetHistogram(prefix + "predict_latency_ns{stage=\"" +
+                                          names.back() + "\"}",
+                                      obs::Histogram::LatencyBucketsNanos())
+                        .TakeSnapshot());
+  }
+  return metrics::RenderLatencyTable(names, slots, elapsed_seconds);
 }
 
 int RunServe(const Flags& flags) {
@@ -603,24 +652,25 @@ int RunServe(const Flags& flags) {
         static_cast<uint64_t>(event.arrival_ms)));
   }
 
-  serve::PredictionServiceConfig config;
-  config.predictor = StageConfigFromFlags(flags);
-  config.cache_shards = static_cast<size_t>(flags.GetInt("shards", 8));
-  config.async_retrain = !flags.GetBool("sync", false);
-  const std::string metrics_out = flags.GetString("metrics_out", "");
+  const fleet_serve::FleetServiceConfig config = ServedFleetConfig(flags, 8);
+  // The registry feeds the per-source latency table below (and
+  // --metrics_out).
   obs::MetricsRegistry registry;
   core::StagePredictorOptions options;
   options.global_model = use_global ? &global_model : nullptr;
   options.instance = &instance.config;
-  if (!metrics_out.empty()) options.metrics = &registry;
-  serve::PredictionService service(config, options);
+  options.metrics = &registry;
+  fleet_serve::FleetService fleet(config);
+  fleet.RegisterTenant(kServedTenant, options);
+  const std::shared_ptr<fleet_serve::TenantStack> stack =
+      fleet.PinTenant(kServedTenant);
 
   // Warm restart: restore a snapshotted replay and continue at --skip.
   const std::string restore_from = flags.GetString("restore_from", "");
   size_t skip = static_cast<size_t>(flags.GetInt("skip", 0));
   if (!restore_from.empty()) {
     std::string error;
-    if (!ckpt::LoadServiceSnapshot(&service, restore_from, &error)) {
+    if (!ckpt::LoadServiceSnapshot(stack.get(), restore_from, &error)) {
       std::fprintf(stderr,
                    "error: restore from %s failed: %s (flags must match the "
                    "snapshotting run, e.g. --shards)\n",
@@ -628,8 +678,8 @@ int RunServe(const Flags& flags) {
       return 1;
     }
     std::printf("restored %s: cache %zu entries, pool %zu, trainings %d\n",
-                restore_from.c_str(), service.exec_time_cache().size(),
-                service.pool_size(), service.trainings());
+                restore_from.c_str(), stack->exec_time_cache().size(),
+                stack->pool_size(), stack->trainings());
   }
   if (skip > contexts.size()) skip = contexts.size();
 
@@ -650,7 +700,7 @@ int RunServe(const Flags& flags) {
       // can finish before a reader is ever scheduled.
       while (!writer_done.load(std::memory_order_relaxed) ||
              made < contexts.size()) {
-        service.Predict(contexts[at % contexts.size()]);
+        stack->Predict(contexts[at % contexts.size()]);
         at += 127;
         ++made;
       }
@@ -658,12 +708,12 @@ int RunServe(const Flags& flags) {
     });
   }
   for (size_t i = skip; i < contexts.size(); ++i) {
-    service.Predict(contexts[i]);
-    service.Observe(contexts[i], instance.trace[i].exec_seconds);
+    stack->Predict(contexts[i]);
+    fleet.Observe(kServedTenant, contexts[i], instance.trace[i].exec_seconds);
   }
   writer_done.store(true);
   for (std::thread& reader : readers) reader.join();
-  service.WaitForRetrain();
+  fleet.WaitForRetrain();
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -674,30 +724,29 @@ int RunServe(const Flags& flags) {
               contexts.size() - skip,
               static_cast<unsigned long long>(reader_predictions.load()),
               elapsed,
-              metrics::LatencyRecorder::Qps(service.total_predictions(),
+              metrics::LatencyRecorder::Qps(stack->total_predictions(),
                                             elapsed),
-              num_readers, service.exec_time_cache().num_shards(),
+              num_readers, stack->exec_time_cache().num_shards(),
               config.async_retrain ? "async" : "inline");
   std::printf("trainings: %d, cache hits: %llu, misses: %llu, evictions: "
               "%llu, pool: %zu, resident: %zu bytes\n",
-              service.trainings(),
-              static_cast<unsigned long long>(service.exec_time_cache().hits()),
+              stack->trainings(),
+              static_cast<unsigned long long>(stack->exec_time_cache().hits()),
               static_cast<unsigned long long>(
-                  service.exec_time_cache().misses()),
+                  stack->exec_time_cache().misses()),
               static_cast<unsigned long long>(
-                  service.exec_time_cache().evictions()),
-              service.pool_size(), service.LocalMemoryBytes());
-  std::printf("%s", service.predict_latency()
-                        .RenderTable(serve::PredictionService::
-                                         PredictLatencySlotNames(),
-                                     elapsed)
+                  stack->exec_time_cache().evictions()),
+              stack->pool_size(), stack->LocalMemoryBytes());
+  std::printf("%s", RenderPredictLatency(registry, options.metrics_prefix,
+                                         elapsed)
                         .c_str());
+  const std::string metrics_out = flags.GetString("metrics_out", "");
   if (!metrics_out.empty() && !DumpMetrics(registry, metrics_out)) return 1;
   return 0;
 }
 
 // stats: the observability one-stop. Replays one instance trace through a
-// fully instrumented PredictionService (plus, with --out, the periodic
+// fully instrumented pinned tenant (plus, with --out, the periodic
 // checkpointer) and dumps every metric in the registry.
 int RunStats(const Flags& flags) {
   global::GlobalModel global_model;
@@ -708,15 +757,14 @@ int RunStats(const Flags& flags) {
   const fleet::InstanceTrace instance = generator.MakeInstanceTrace(0);
 
   obs::MetricsRegistry registry;
-  serve::PredictionServiceConfig config;
-  config.predictor = StageConfigFromFlags(flags);
-  config.cache_shards = static_cast<size_t>(flags.GetInt("shards", 4));
-  config.async_retrain = !flags.GetBool("sync", false);
   core::StagePredictorOptions options;
   options.global_model = use_global ? &global_model : nullptr;
   options.instance = &instance.config;
   options.metrics = &registry;
-  serve::PredictionService service(config, options);
+  fleet_serve::FleetService fleet(ServedFleetConfig(flags, 4));
+  fleet.RegisterTenant(kServedTenant, options);
+  const std::shared_ptr<fleet_serve::TenantStack> stack =
+      fleet.PinTenant(kServedTenant);
 
   std::unique_ptr<ckpt::PeriodicCheckpointer> checkpointer;
   const std::string snapshot_path = flags.GetString("out", "");
@@ -726,7 +774,7 @@ int RunStats(const Flags& flags) {
     ckpt_options.interval = std::chrono::milliseconds(250);
     ckpt_options.metrics = &registry;
     checkpointer =
-        std::make_unique<ckpt::PeriodicCheckpointer>(service, ckpt_options);
+        std::make_unique<ckpt::PeriodicCheckpointer>(*stack, ckpt_options);
   }
 
   for (size_t i = 0; i < instance.trace.size(); ++i) {
@@ -734,10 +782,10 @@ int RunStats(const Flags& flags) {
     const core::QueryContext context = core::MakeQueryContext(
         event.plan, event.concurrent_queries,
         static_cast<uint64_t>(event.arrival_ms));
-    service.Predict(context);
-    service.Observe(context, event.exec_seconds);
+    stack->Predict(context);
+    fleet.Observe(kServedTenant, context, event.exec_seconds);
   }
-  service.WaitForRetrain();
+  fleet.WaitForRetrain();
   if (checkpointer != nullptr) {
     std::string error;
     if (!checkpointer->TriggerNow(&error)) {
@@ -773,8 +821,7 @@ int RunFleetServe(const Flags& flags) {
 
   obs::MetricsRegistry registry;
   fleet_serve::FleetServiceConfig config;
-  config.stack.predictor = StageConfigFromFlags(flags);
-  config.stack.cache_shards = static_cast<size_t>(flags.GetInt("shards", 4));
+  config.stack = StackConfigFromFlags(flags, 4);
   config.async_retrain = !flags.GetBool("sync", false);
   config.resident_bytes_budget =
       static_cast<size_t>(flags.GetInt("budget_mb", 0)) * 1024 * 1024;
