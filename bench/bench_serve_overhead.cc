@@ -104,7 +104,7 @@ double ReaderQps(const fleet::InstanceTrace& instance,
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  return metrics::LatencyRecorder::Qps(predictions.load(), elapsed);
+  return static_cast<double>(predictions.load()) / elapsed;
 }
 
 // Pure single-prediction latency, with or without the metrics registry

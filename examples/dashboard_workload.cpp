@@ -59,8 +59,8 @@ int main() {
 
   metrics::TextTable table;
   table.SetHeader({"predictor", "P50 Q-error", "P90 Q-error", "served by"});
-  char stage_served[64];
-  std::snprintf(stage_served, sizeof(stage_served), "cache %.0f%% local %.0f%%",
+  char served_by[64];
+  std::snprintf(served_by, sizeof(served_by), "cache %.0f%% local %.0f%%",
                 100.0 *
                     stage.predictions_from(core::PredictionSource::kCache) /
                     instance.trace.size(),
@@ -68,7 +68,7 @@ int main() {
                     stage.predictions_from(core::PredictionSource::kLocal) /
                     instance.trace.size());
   table.AddRow({"Stage", metrics::FormatValue(stage_q.p50),
-                metrics::FormatValue(stage_q.p90), stage_served});
+                metrics::FormatValue(stage_q.p90), served_by});
   table.AddRow({"AutoWLM", metrics::FormatValue(autowlm_q.p50),
                 metrics::FormatValue(autowlm_q.p90), "one XGBoost model"});
   std::printf("%s\n", table.Render().c_str());

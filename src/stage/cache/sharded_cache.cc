@@ -1,11 +1,11 @@
-#include "stage/serve/sharded_cache.h"
+#include "stage/cache/sharded_cache.h"
 
 #include <utility>
 
 #include "stage/common/macros.h"
 #include "stage/common/serialize.h"
 
-namespace stage::serve {
+namespace stage::cache {
 
 ShardedExecTimeCache::ShardedExecTimeCache(
     const ShardedExecTimeCacheConfig& config) {
@@ -32,11 +32,11 @@ bool ShardedExecTimeCache::Contains(uint64_t key) const {
   return shard.cache.Contains(key);
 }
 
-std::optional<cache::ExecTimeCache::Entry> ShardedExecTimeCache::Lookup(
+std::optional<ExecTimeCache::Entry> ShardedExecTimeCache::Lookup(
     uint64_t key) const {
   const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  const cache::ExecTimeCache::Entry* entry = shard.cache.Lookup(key);
+  const ExecTimeCache::Entry* entry = shard.cache.Lookup(key);
   if (entry == nullptr) return std::nullopt;
   return *entry;
 }
@@ -138,4 +138,4 @@ size_t ShardedExecTimeCache::MemoryBytes() const {
   return total;
 }
 
-}  // namespace stage::serve
+}  // namespace stage::cache

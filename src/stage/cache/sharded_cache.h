@@ -1,5 +1,5 @@
-#ifndef STAGE_SERVE_SHARDED_CACHE_H_
-#define STAGE_SERVE_SHARDED_CACHE_H_
+#ifndef STAGE_CACHE_SHARDED_CACHE_H_
+#define STAGE_CACHE_SHARDED_CACHE_H_
 
 #include <cstdint>
 #include <iosfwd>
@@ -10,7 +10,7 @@
 
 #include "stage/cache/exec_time_cache.h"
 
-namespace stage::serve {
+namespace stage::cache {
 
 struct ShardedExecTimeCacheConfig {
   // Per-entry behaviour of every shard. `cache.capacity` is the TOTAL
@@ -24,7 +24,7 @@ struct ShardedExecTimeCacheConfig {
   // capacity — earlier than one global least-recently-updated cache would.
   // total_capacity() reports the effective aggregate cap so callers can
   // account for both effects; num_shards == 1 restores the paper exactly.
-  cache::ExecTimeCacheConfig cache;
+  ExecTimeCacheConfig cache;
   size_t num_shards = 8;
 };
 
@@ -48,7 +48,7 @@ class ShardedExecTimeCache {
 
   // Copy of a key's entry, taken under its shard lock with no counter side
   // effects; nullopt on a miss.
-  std::optional<cache::ExecTimeCache::Entry> Lookup(uint64_t key) const;
+  std::optional<ExecTimeCache::Entry> Lookup(uint64_t key) const;
 
   // Records an observed execution. Returns true when the key was already
   // cached *before* this observation (the §4.3 pool-deduplication signal),
@@ -92,9 +92,9 @@ class ShardedExecTimeCache {
 
  private:
   struct Shard {
-    explicit Shard(const cache::ExecTimeCacheConfig& config) : cache(config) {}
+    explicit Shard(const ExecTimeCacheConfig& config) : cache(config) {}
     mutable std::mutex mutex;
-    cache::ExecTimeCache cache;
+    ExecTimeCache cache;
   };
 
   const Shard& ShardFor(uint64_t key) const {
@@ -102,10 +102,10 @@ class ShardedExecTimeCache {
   }
   Shard& ShardFor(uint64_t key) { return *shards_[key % shards_.size()]; }
 
-  cache::ExecTimeCacheConfig shard_config_;  // Per-shard (divided) capacity.
+  ExecTimeCacheConfig shard_config_;  // Per-shard (divided) capacity.
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-}  // namespace stage::serve
+}  // namespace stage::cache
 
-#endif  // STAGE_SERVE_SHARDED_CACHE_H_
+#endif  // STAGE_CACHE_SHARDED_CACHE_H_

@@ -111,7 +111,7 @@ PeriodicCheckpointer::~PeriodicCheckpointer() {
 
 void PeriodicCheckpointer::RegisterMetrics() {
   obs::MetricsRegistry* registry = options_.metrics;
-  const std::string& prefix = options_.metrics_prefix;
+  const std::string prefix = "stage_ckpt_";
   registry->RegisterCounterCallback(
       this, prefix + "snapshots_total{result=\"ok\"}",
       [this] { return completed(); });

@@ -66,10 +66,9 @@ class PeriodicCheckpointer {
     // When true, write one snapshot immediately on construction.
     bool checkpoint_on_start = false;
     // Optional observability sink: snapshots written/failed, bytes
-    // published, and write duration are exposed under `metrics_prefix`.
+    // published, and write duration are exposed as stage_ckpt_* metrics.
     // Must outlive the checkpointer (callbacks unregister on destruction).
     obs::MetricsRegistry* metrics = nullptr;
-    std::string metrics_prefix = "stage_ckpt_";
   };
 
   PeriodicCheckpointer(const fleet_serve::TenantStack& stack,

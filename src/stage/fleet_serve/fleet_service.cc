@@ -11,6 +11,9 @@ namespace stage::fleet_serve {
 
 namespace {
 
+// Prefix of the fleet's own metric families (stage_fleet_*, stage_tenant_*).
+constexpr char kMetricsPrefix[] = "stage_";
+
 uint64_t ElapsedNanos(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -71,7 +74,7 @@ FleetService::~FleetService() {
 
 void FleetService::RegisterFleetMetrics() {
   obs::MetricsRegistry* registry = options_.metrics;
-  const std::string& prefix = options_.metrics_prefix;
+  const std::string prefix = kMetricsPrefix;
   registry->RegisterCounterCallback(this, prefix + "fleet_evictions_total",
                                     [this] { return evictions(); });
   registry->RegisterCounterCallback(
@@ -111,7 +114,7 @@ void FleetService::RegisterTenantMetrics(Entry& entry) {
   if (registry == nullptr) return;
   const std::string label =
       "{tenant=\"" + std::to_string(entry.id) + "\"}";
-  const std::string& prefix = options_.metrics_prefix;
+  const std::string prefix = kMetricsPrefix;
   registry->RegisterCounterCallback(
       &entry, prefix + "tenant_predictions_total" + label, [&entry] {
         return entry.predictions.load(std::memory_order_relaxed);

@@ -20,7 +20,6 @@
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet_serve/fleet_snapshot.h"
 #include "stage/fleet_serve/tenant_stack.h"
-#include "stage/metrics/latency_recorder.h"
 #include "stage/obs/metrics.h"
 #include "stage/obs/trace.h"
 
@@ -56,13 +55,13 @@ struct FleetServiceConfig {
 
 // Fleet-level observability knobs. Per-tenant stack metrics (the full
 // per-stack families) come from the per-tenant StagePredictorOptions passed
-// to RegisterTenant; this registry carries the REGISTRY's own telemetry:
-// evictions, cold activations, activation latency, resident bytes, and
-// per-tenant owner-tagged prediction counts (registered at activation,
-// UnregisterAll-ed at eviction, so an evicted tenant leaks no callbacks).
+// to RegisterTenant; this registry carries the REGISTRY's own telemetry
+// under the stage_ prefix: evictions, cold activations, activation
+// latency, resident bytes, and per-tenant owner-tagged prediction counts
+// (registered at activation, UnregisterAll-ed at eviction, so an evicted
+// tenant leaks no callbacks).
 struct FleetServiceOptions {
   obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_prefix = "stage_";
 };
 
 // The tenant-keyed serving API: one process serves many instances'
@@ -183,7 +182,7 @@ class FleetService {
   static constexpr size_t kActivationFromParked = 0;
   static constexpr size_t kActivationFromFile = 1;
   static constexpr size_t kActivationFresh = 2;
-  const metrics::LatencyRecorder& activation_latency() const {
+  const obs::LatencyHistograms& activation_latency() const {
     return activation_latency_;
   }
 
@@ -292,7 +291,7 @@ class FleetService {
   std::atomic<uint64_t> lru_clock_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> cold_activations_{0};
-  metrics::LatencyRecorder activation_latency_{3};
+  obs::LatencyHistograms activation_latency_{3};
 
   // Attached cold-activation source. snapshot_mutex_ guards the reader's
   // single seek cursor.

@@ -47,7 +47,7 @@ TenantStack::TenantStack(const TenantStackConfig& config,
                          const core::StagePredictorOptions& options)
     : config_(Validated(config)),
       options_(options),
-      cache_(serve::ShardedExecTimeCacheConfig{config.predictor.cache,
+      cache_(cache::ShardedExecTimeCacheConfig{config.predictor.cache,
                                                config.cache_shards}),
       pool_(config.predictor.pool) {
   if (config_.predictor.calibrate_uncertainty) {
@@ -401,57 +401,64 @@ bool TenantStack::SaveState(std::ostream& out, std::string* error) const {
 }
 
 bool TenantStack::LoadState(std::istream& in, std::string* error) {
+  // Every component parses into a local first; the stack changes only once
+  // the whole stream has parsed, so a failed load leaves it untouched.
   std::lock_guard<std::mutex> observe_lock(observe_mutex_);
   if (!ReadHeader(in, kServiceMagic, kServiceVersion)) {
     SetError(error, "bad tenant stack header");
     return false;
   }
-  if (!cache_.Load(in)) {
+  cache::ShardedExecTimeCache exec_cache(
+      {config_.predictor.cache, config_.cache_shards});
+  if (!exec_cache.Load(in)) {
     SetError(error, "malformed exec-time cache payload");
     return false;
   }
-  {
-    std::lock_guard<std::mutex> pool_lock(pool_mutex_);
-    local::TrainingPool pool(config_.predictor.pool);
-    if (!pool.Load(in)) {
-      SetError(error, "malformed training pool payload");
-      return false;
-    }
-    uint64_t observed_since_train = 0;
-    uint8_t first_train_requested = 0;
-    if (!ReadPod(in, &observed_since_train) ||
-        !ReadPod(in, &first_train_requested)) {
-      SetError(error, "truncated retrain cadence state");
-      return false;
-    }
-    pool_ = std::move(pool);
-    observed_since_train_ = static_cast<size_t>(observed_since_train);
-    first_train_requested_ = first_train_requested != 0;
+  local::TrainingPool pool(config_.predictor.pool);
+  if (!pool.Load(in)) {
+    SetError(error, "malformed training pool payload");
+    return false;
+  }
+  uint64_t observed_since_train = 0;
+  uint8_t first_train_requested = 0;
+  if (!ReadPod(in, &observed_since_train) ||
+      !ReadPod(in, &first_train_requested)) {
+    SetError(error, "truncated retrain cadence state");
+    return false;
   }
   uint8_t has_model = 0;
   if (!ReadPod(in, &has_model)) {
     SetError(error, "truncated local model flag");
     return false;
   }
+  std::shared_ptr<local::LocalModel> model;
   if (has_model != 0) {
-    auto model = std::make_shared<local::LocalModel>(config_.predictor.local);
+    model = std::make_shared<local::LocalModel>(config_.predictor.local);
     if (!model->Load(in)) {
       SetError(error, "malformed local model payload");
       return false;
     }
-    PublishModel(std::move(model));
-  } else {
-    PublishModel(nullptr);
   }
   int32_t trainings = 0;
   if (!ReadPod(in, &trainings)) {
     SetError(error, "truncated trainings counter");
     return false;
   }
+  // The recalibrator is last in the stream and its Load is itself
+  // all-or-nothing, so it loads in place: it is the last step that can fail.
   if (recalibrator_ != nullptr && !recalibrator_->Load(in)) {
     SetError(error, "malformed conformal recalibrator payload");
     return false;
   }
+
+  cache_ = std::move(exec_cache);
+  {
+    std::lock_guard<std::mutex> pool_lock(pool_mutex_);
+    pool_ = std::move(pool);
+    observed_since_train_ = static_cast<size_t>(observed_since_train);
+    first_train_requested_ = first_train_requested != 0;
+  }
+  PublishModel(std::move(model));
   trainings_.store(trainings, std::memory_order_relaxed);
   return true;
 }

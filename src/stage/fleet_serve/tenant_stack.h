@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "stage/cache/sharded_cache.h"
 #include "stage/calib/conformal.h"
 #include "stage/core/predictor.h"
 #include "stage/core/stage_predictor.h"
@@ -18,7 +19,6 @@
 #include "stage/local/training_pool.h"
 #include "stage/obs/metrics.h"
 #include "stage/obs/trace.h"
-#include "stage/serve/sharded_cache.h"
 
 namespace stage::fleet_serve {
 
@@ -113,9 +113,9 @@ class TenantStack final : public core::ExecTimePredictor {
   // the "SSRV" stream (SnapshotKind::kPredictionService). The restoring
   // stack's config must match the writer's (same cache_shards: shard
   // membership is key % num_shards). Both return false — filling `error`
-  // when non-null — on failure. LoadState commits component by component,
-  // so a stream that fails midway may leave part of it applied: discard
-  // the stack then. A stack restored from a snapshot continues the replay
+  // when non-null — on failure. LoadState parses every component before
+  // it commits any, so a stream that fails anywhere leaves the stack as it
+  // was. A stack restored from a snapshot continues the replay
   // bit-for-bit — same predictions, same routing, same future retrains —
   // as one that never stopped. Telemetry
   // (attribution counters, cache hit/miss counters) restarts at zero on
@@ -161,7 +161,7 @@ class TenantStack final : public core::ExecTimePredictor {
   // returned pointer stays valid across later swaps.
   std::shared_ptr<const local::LocalModel> local_model_snapshot() const;
 
-  const serve::ShardedExecTimeCache& exec_time_cache() const { return cache_; }
+  const cache::ShardedExecTimeCache& exec_time_cache() const { return cache_; }
   size_t pool_size() const;
 
   // Memory footprint of the locally resident components: cache plus local
@@ -178,7 +178,7 @@ class TenantStack final : public core::ExecTimePredictor {
   TenantStackConfig config_;
   core::StagePredictorOptions options_;  // Borrowed pointers, nullable.
 
-  serve::ShardedExecTimeCache cache_;
+  cache::ShardedExecTimeCache cache_;
 
   // Write-path state: the pool and retrain bookkeeping, guarded by
   // pool_mutex_ (observe_mutex_ additionally serializes whole Observes so

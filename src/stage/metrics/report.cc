@@ -68,4 +68,28 @@ std::string FormatPercent(double fraction) {
   return buffer;
 }
 
+std::string RenderLatencyTable(
+    const std::vector<std::string>& slot_names,
+    const std::vector<obs::Histogram::Snapshot>& slots,
+    double elapsed_seconds) {
+  TextTable table;
+  table.SetHeader(
+      {"Slot", "Count", "QPS", "Mean (us)", "p50 (us)", "p99 (us)",
+       "Max (us)"});
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const obs::Histogram::Snapshot& slot = slots[i];
+    const double count = static_cast<double>(slot.count);
+    const std::string name =
+        i < slot_names.size() ? slot_names[i] : std::to_string(i);
+    table.AddRow(
+        {name, std::to_string(slot.count),
+         FormatValue(elapsed_seconds <= 0.0 ? 0.0 : count / elapsed_seconds),
+         FormatValue(slot.count == 0 ? 0.0 : 1e-3 * slot.sum / count),
+         FormatValue(1e-3 * slot.Quantile(0.50)),
+         FormatValue(1e-3 * slot.Quantile(0.99)),
+         FormatValue(1e-3 * slot.max)});
+  }
+  return table.Render();
+}
+
 }  // namespace stage::metrics

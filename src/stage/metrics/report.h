@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "stage/obs/metrics.h"
+
 namespace stage::metrics {
 
 // Minimal fixed-width text table used by the bench binaries to print the
@@ -25,6 +27,14 @@ std::string FormatValue(double value);
 
 // Formats a percentage like "20.3%".
 std::string FormatPercent(double fraction);
+
+// Fixed-width table of per-slot count / QPS / mean / p50 / p99 / max, one
+// row per latency histogram in nanoseconds (unnamed slots render by
+// index), for CLI diagnostics.
+std::string RenderLatencyTable(
+    const std::vector<std::string>& slot_names,
+    const std::vector<obs::Histogram::Snapshot>& slots,
+    double elapsed_seconds);
 
 }  // namespace stage::metrics
 

@@ -149,7 +149,7 @@ struct Server::Impl {
   std::atomic<uint64_t> errors_by_code[6] = {};
   obs::Histogram batch_size_hist{
       std::vector<double>{1, 2, 4, 8, 16, 32, 64, 128, 256}};
-  metrics::LatencyRecorder frame_latency{2};
+  obs::LatencyHistograms frame_latency{2};
 
   // ---- Setup ----
   void Start();
@@ -257,7 +257,7 @@ obs::Histogram::Snapshot Server::batch_size_histogram() const {
   return impl_->batch_size_hist.TakeSnapshot();
 }
 
-const metrics::LatencyRecorder& Server::frame_latency() const {
+const obs::LatencyHistograms& Server::frame_latency() const {
   return impl_->frame_latency;
 }
 
@@ -338,7 +338,7 @@ void Server::Impl::OpenListener() {
 void Server::Impl::RegisterMetrics() {
   obs::MetricsRegistry* registry = options.metrics;
   if (registry == nullptr) return;
-  const std::string& p = options.metrics_prefix;
+  const std::string p = "stage_net_";
   const void* owner = this;
   auto counter = [&](const std::string& name, std::atomic<uint64_t>* value) {
     registry->RegisterCounterCallback(owner, p + name, [value] {

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "stage/fleet_serve/fleet_service.h"
-#include "stage/metrics/latency_recorder.h"
 #include "stage/net/batcher.h"
 #include "stage/net/wire.h"
 #include "stage/obs/metrics.h"
@@ -47,10 +46,9 @@ struct ServerConfig {
 };
 
 struct ServerOptions {
-  // When set, the server registers its telemetry (owner-tagged callbacks,
-  // unregistered in the destructor).
+  // When set, the server registers its telemetry under the stage_net_
+  // prefix (owner-tagged callbacks, unregistered in the destructor).
   obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_prefix = "stage_net_";
 };
 
 // Sampled aggregate counters (tests, CLI dumps). All monotone except the
@@ -125,7 +123,7 @@ class Server {
   // Per-frame serving latency, decode to response/completion. Slots:
   static constexpr size_t kLatencyPredict = 0;
   static constexpr size_t kLatencyObserve = 1;
-  const metrics::LatencyRecorder& frame_latency() const;
+  const obs::LatencyHistograms& frame_latency() const;
 
  private:
   struct Impl;

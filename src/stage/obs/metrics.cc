@@ -165,6 +165,28 @@ std::vector<double> Histogram::UncertaintyBuckets() {
 }
 
 // ---------------------------------------------------------------------------
+// LatencyHistograms.
+
+LatencyHistograms::LatencyHistograms(size_t num_slots) {
+  STAGE_CHECK(num_slots > 0);
+  slots_.reserve(num_slots);
+  for (size_t i = 0; i < num_slots; ++i) {
+    slots_.push_back(
+        std::make_unique<Histogram>(Histogram::LatencyBucketsNanos()));
+  }
+}
+
+void LatencyHistograms::Record(size_t slot, uint64_t nanos) {
+  STAGE_DCHECK(slot < slots_.size());
+  slots_[slot]->Record(static_cast<double>(nanos));
+}
+
+Histogram::Snapshot LatencyHistograms::histogram_snapshot(size_t slot) const {
+  STAGE_DCHECK(slot < slots_.size());
+  return slots_[slot]->TakeSnapshot();
+}
+
+// ---------------------------------------------------------------------------
 // MetricsRegistry.
 
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
@@ -270,11 +292,6 @@ void MetricsRegistry::UnregisterAll(const void* owner) {
 size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
-}
-
-MetricsRegistry& MetricsRegistry::Default() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
 }
 
 std::string MetricsRegistry::RenderText() const {

@@ -96,6 +96,21 @@ class Histogram {
   std::atomic<double> max_{0.0};
 };
 
+// A fixed set of latency histograms on LatencyBucketsNanos, one per slot
+// (the server's per-op frame latency, the fleet's per-source activation
+// latency). Slots are caller-defined indices; Record is exactly one
+// Histogram::Record, so it is lock-free and allocation-free.
+class LatencyHistograms {
+ public:
+  explicit LatencyHistograms(size_t num_slots);
+
+  void Record(size_t slot, uint64_t nanos);
+  Histogram::Snapshot histogram_snapshot(size_t slot) const;
+
+ private:
+  std::vector<std::unique_ptr<Histogram>> slots_;
+};
+
 // A process-wide named metric registry with Prometheus-style text
 // exposition and a JSON dump.
 //
@@ -145,9 +160,6 @@ class MetricsRegistry {
   std::string RenderJson() const;
 
   size_t size() const;
-
-  // The process-wide default registry (what `stage_sim` exposes).
-  static MetricsRegistry& Default();
 
  private:
   enum class Type { kCounter, kGauge, kHistogram };

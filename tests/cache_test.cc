@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "stage/cache/exec_time_cache.h"
+#include "stage/cache/sharded_cache.h"
 #include "stage/common/rng.h"
 
 namespace stage::cache {
@@ -180,6 +181,74 @@ TEST(ExecTimeCacheTest, MedianModeRobustToSpikes) {
     cache.Observe(42, v, i);
   }
   EXPECT_NEAR(*cache.Predict(42), 1.0, 0.1);
+}
+
+TEST(ShardedCacheTest, SingleShardMatchesBareCache) {
+  cache::ExecTimeCacheConfig cache_config;
+  cache_config.capacity = 8;  // Small, to exercise eviction.
+  cache::ExecTimeCache bare(cache_config);
+  ShardedExecTimeCache sharded({cache_config, 1});
+
+  for (uint64_t i = 0; i < 64; ++i) {
+    const uint64_t key = i % 13;
+    const double exec = static_cast<double>(i) * 0.5;
+    EXPECT_EQ(bare.Contains(key), sharded.Contains(key)) << key;
+    bare.Observe(key, exec, i);
+    sharded.Observe(key, exec, i);
+    const auto bare_prediction = bare.Predict(key);
+    const auto sharded_prediction = sharded.Predict(key);
+    ASSERT_EQ(bare_prediction.has_value(), sharded_prediction.has_value());
+    EXPECT_DOUBLE_EQ(*bare_prediction, *sharded_prediction);
+  }
+  EXPECT_EQ(bare.size(), sharded.size());
+  EXPECT_EQ(bare.hits(), sharded.hits());
+  EXPECT_EQ(bare.misses(), sharded.misses());
+  EXPECT_EQ(bare.evictions(), sharded.evictions());
+}
+
+TEST(ShardedCacheTest, SplitsCapacityAndAggregatesCounters) {
+  cache::ExecTimeCacheConfig cache_config;
+  cache_config.capacity = 100;
+  ShardedExecTimeCache sharded({cache_config, 8});
+  EXPECT_EQ(sharded.num_shards(), 8u);
+  EXPECT_EQ(sharded.shard_capacity(), 13u);  // ceil(100 / 8).
+
+  for (uint64_t key = 0; key < 40; ++key) sharded.Observe(key, 1.0, key);
+  EXPECT_EQ(sharded.size(), 40u);
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  for (uint64_t key = 0; key < 80; ++key) {
+    if (sharded.Predict(key)) {
+      ++hits;
+    } else {
+      ++misses;
+    }
+  }
+  EXPECT_EQ(sharded.hits(), hits);
+  EXPECT_EQ(sharded.misses(), misses);
+  EXPECT_GT(sharded.MemoryBytes(), 0u);
+}
+
+// Pins the documented divergence from the paper's single 2,000-entry cache
+// (§4.2/§5.1): per-shard capacity is ceil(capacity / num_shards), so the
+// effective aggregate capacity can exceed the configured one by up to
+// num_shards - 1 entries. total_capacity() must report that honestly.
+TEST(ShardedCacheTest, CeilDivisionOverProvisionsAggregateCapacity) {
+  cache::ExecTimeCacheConfig cache_config;
+  cache_config.capacity = 2000;  // The paper's cache size.
+  ShardedExecTimeCache three({cache_config, 3});
+  EXPECT_EQ(three.shard_capacity(), 667u);  // ceil(2000 / 3).
+  EXPECT_EQ(three.total_capacity(), 2001u);
+  EXPECT_GT(three.total_capacity(), cache_config.capacity);
+
+  // num_shards == 1 restores the paper's configuration exactly.
+  ShardedExecTimeCache one({cache_config, 1});
+  EXPECT_EQ(one.shard_capacity(), 2000u);
+  EXPECT_EQ(one.total_capacity(), 2000u);
+
+  // Even division has no over-provisioning.
+  ShardedExecTimeCache eight({cache_config, 8});
+  EXPECT_EQ(eight.total_capacity(), 2000u);
 }
 
 }  // namespace

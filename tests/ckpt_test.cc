@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stage/cache/sharded_cache.h"
 #include "stage/ckpt/checkpoint.h"
 #include "stage/ckpt/snapshot_file.h"
 #include "stage/common/crc32.h"
@@ -29,7 +30,7 @@
 #include "stage/fleet_serve/tenant_stack.h"
 #include "stage/local/local_model.h"
 #include "stage/local/training_pool.h"
-#include "stage/serve/sharded_cache.h"
+#include "stage/obs/metrics.h"
 #include "test_temp_dir.h"
 
 namespace stage::ckpt {
@@ -425,10 +426,10 @@ TEST(TrainingPoolCheckpointTest, RestoredPoolContinuesEvictionOrder) {
 }
 
 TEST(ShardedCacheCheckpointTest, RoundTripsAcrossShards) {
-  serve::ShardedExecTimeCacheConfig config;
+  cache::ShardedExecTimeCacheConfig config;
   config.cache.capacity = 30;
   config.num_shards = 3;
-  serve::ShardedExecTimeCache original(config);
+  cache::ShardedExecTimeCache original(config);
   Rng rng(21);
   for (uint64_t tick = 0; tick < 200; ++tick) {
     original.Observe(rng.NextBelow(50), rng.NextDouble() * 20, tick);
@@ -436,7 +437,7 @@ TEST(ShardedCacheCheckpointTest, RoundTripsAcrossShards) {
 
   std::stringstream buffer;
   original.Save(buffer);
-  serve::ShardedExecTimeCache restored(config);
+  cache::ShardedExecTimeCache restored(config);
   ASSERT_TRUE(restored.Load(buffer));
   EXPECT_EQ(restored.size(), original.size());
   for (uint64_t key = 0; key < 50; ++key) {
@@ -450,17 +451,17 @@ TEST(ShardedCacheCheckpointTest, RoundTripsAcrossShards) {
 }
 
 TEST(ShardedCacheCheckpointTest, LoadRejectsShardCountMismatch) {
-  serve::ShardedExecTimeCacheConfig two;
+  cache::ShardedExecTimeCacheConfig two;
   two.cache.capacity = 30;
   two.num_shards = 2;
-  serve::ShardedExecTimeCache original(two);
+  cache::ShardedExecTimeCache original(two);
   for (uint64_t key = 0; key < 10; ++key) original.Observe(key, 1.0, key);
   std::stringstream buffer;
   original.Save(buffer);
 
-  serve::ShardedExecTimeCacheConfig three = two;
+  cache::ShardedExecTimeCacheConfig three = two;
   three.num_shards = 3;
-  serve::ShardedExecTimeCache restored(three);
+  cache::ShardedExecTimeCache restored(three);
   EXPECT_FALSE(restored.Load(buffer));
   EXPECT_EQ(restored.size(), 0u);
 }
@@ -643,10 +644,12 @@ TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
   }
 
   const std::string path = TempPath("periodic.snap");
+  obs::MetricsRegistry registry;
   PeriodicCheckpointer::Options options;
   options.path = path;
   options.interval = std::chrono::milliseconds(5);
   options.checkpoint_on_start = true;
+  options.metrics = &registry;
   PeriodicCheckpointer checkpointer(stack, options);
 
   const auto deadline =
@@ -659,6 +662,13 @@ TEST(PeriodicCheckpointerTest, WritesPeriodicallyAndSnapshotRestores) {
   ASSERT_GE(checkpointer.completed(), 3u);
   EXPECT_EQ(checkpointer.failed(), 0u);
   EXPECT_TRUE(checkpointer.last_error().empty());
+  // The checkpointer's families render under the fixed stage_ckpt_ prefix.
+  const std::string text = registry.RenderText();
+  EXPECT_NE(text.find("\nstage_ckpt_snapshots_total{result=\"ok\"} "),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nstage_ckpt_bytes_written_total "), std::string::npos)
+      << text;
 
   fleet_serve::TenantStack restored(StackConfig(2),
                                     {.instance = &instance.config});

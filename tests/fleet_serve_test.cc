@@ -260,8 +260,7 @@ TEST(FleetServiceTest, ConcurrentDisjointTenantsWithEvictorChurn) {
   config.stack.cache_shards = 4;
   config.async_retrain = true;
   config.max_concurrent_trainings = 2;
-  FleetService* fleet = new FleetService(
-      config, {.metrics = &registry, .metrics_prefix = "stage_"});
+  FleetService* fleet = new FleetService(config, {.metrics = &registry});
   const size_t fleet_only_metrics = registry.size();
 
   for (TenantId t = 0; t < kTenants; ++t) {
@@ -313,10 +312,15 @@ TEST(FleetServiceTest, ConcurrentDisjointTenantsWithEvictorChurn) {
     ASSERT_TRUE(fleet->EvictTenant(t, &error)) << error;
   }
   EXPECT_EQ(registry.size(), fleet_only_metrics);
+  const std::string text = registry.RenderText();
   std::string exposition_error;
-  EXPECT_TRUE(obs::ValidateTextExposition(registry.RenderText(),
-                                          &exposition_error))
+  EXPECT_TRUE(obs::ValidateTextExposition(text, &exposition_error))
       << exposition_error;
+  // The fleet's own families render under the fixed stage_ prefix.
+  EXPECT_NE(text.find("\nstage_fleet_evictions_total "), std::string::npos);
+  EXPECT_NE(text.find("\nstage_fleet_activation_latency_ns_count"
+                      "{source=\"parked\"} "),
+            std::string::npos);
 
   delete fleet;
   EXPECT_EQ(registry.size(), 0u);  // Fleet-level tags dropped too.

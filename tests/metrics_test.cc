@@ -5,7 +5,6 @@
 
 #include "stage/common/rng.h"
 #include "stage/metrics/error_metrics.h"
-#include "stage/metrics/latency_recorder.h"
 #include "stage/metrics/prr.h"
 #include "stage/metrics/report.h"
 
@@ -173,58 +172,18 @@ TEST(ReportTest, FormatPercent) {
   EXPECT_EQ(FormatPercent(0.203), "20.3%");
 }
 
-// LatencyRecorder is a facade over obs::Histogram (the single histogram
-// implementation in the tree); these are the migration regression tests.
-
-TEST(LatencyRecorderTest, CountsMeanAndMaxAreExact) {
-  LatencyRecorder recorder(2);
-  recorder.Record(0, 1000);
-  recorder.Record(0, 3000);
-  recorder.Record(1, 500);
-  const auto slot0 = recorder.slot(0);
-  EXPECT_EQ(slot0.count, 2u);
-  EXPECT_EQ(slot0.total_nanos, 4000u);
-  EXPECT_EQ(slot0.max_nanos, 3000u);
-  EXPECT_DOUBLE_EQ(slot0.mean_micros(), 2.0);
-  EXPECT_DOUBLE_EQ(slot0.max_micros(), 3.0);
-  EXPECT_EQ(recorder.slot(1).count, 1u);
-  EXPECT_EQ(recorder.total_count(), 3u);
-}
-
-TEST(LatencyRecorderTest, PercentilesLandInCorrectBucketBounds) {
-  // A known bimodal distribution: half the samples at 600ns (bucket
-  // (500, 1000]), half at 60us (bucket (50000, 100000]). The interpolated
-  // p50 must land within the low mode's bucket bounds and p99 within the
-  // high mode's — the histogram can't tell us more precisely than that.
-  LatencyRecorder recorder(1);
-  for (int i = 0; i < 500; ++i) recorder.Record(0, 600);
-  for (int i = 0; i < 500; ++i) recorder.Record(0, 60000);
-  const auto slot = recorder.slot(0);
-  EXPECT_GT(slot.p50_nanos, 500.0);
-  EXPECT_LE(slot.p50_nanos, 1000.0);
-  EXPECT_GT(slot.p99_nanos, 50000.0);
-  EXPECT_LE(slot.p99_nanos, 100000.0);
-}
-
-TEST(LatencyRecorderTest, HistogramSnapshotFeedsExposition) {
-  LatencyRecorder recorder(1);
-  recorder.Record(0, 700);
-  const auto snapshot = recorder.histogram_snapshot(0);
-  EXPECT_EQ(snapshot.count, 1u);
-  EXPECT_DOUBLE_EQ(snapshot.sum, 700.0);
-  uint64_t bucket_sum = 0;
-  for (const uint64_t bucket : snapshot.buckets) bucket_sum += bucket;
-  EXPECT_EQ(bucket_sum, 1u);
-}
-
-TEST(LatencyRecorderTest, RenderTableHasPercentileColumns) {
-  LatencyRecorder recorder(2);
-  recorder.Record(0, 1500);
-  const std::string table = recorder.RenderTable({"cache", "local"}, 1.0);
+TEST(ReportTest, RenderLatencyTableHasPercentileColumns) {
+  obs::Histogram cache(obs::Histogram::LatencyBucketsNanos());
+  obs::Histogram local(obs::Histogram::LatencyBucketsNanos());
+  cache.Record(1500);
+  const std::string table = RenderLatencyTable(
+      {"cache", "local"}, {cache.TakeSnapshot(), local.TakeSnapshot()}, 1.0);
   EXPECT_NE(table.find("p50 (us)"), std::string::npos);
   EXPECT_NE(table.find("p99 (us)"), std::string::npos);
-  EXPECT_NE(table.find("cache"), std::string::npos);
-  EXPECT_NE(table.find("local"), std::string::npos);
+  EXPECT_NE(table.find("| cache | 1     | 1.00 | 1.50"), std::string::npos)
+      << table;
+  EXPECT_NE(table.find("| local | 0     | 0.00 | 0.00"), std::string::npos)
+      << table;
 }
 
 }  // namespace

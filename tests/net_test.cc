@@ -812,7 +812,9 @@ TEST(ServerTest, BatchedPredictionsMatchInProcessBitForBit) {
   EXPECT_EQ(stats.frames_out, 40u);
   EXPECT_EQ(stats.predictions_batched, 40u);
   EXPECT_EQ(stats.predictions_inline, 0u);
-  EXPECT_EQ(fx.server_->frame_latency().slot(Server::kLatencyPredict).count,
+  EXPECT_EQ(fx.server_->frame_latency()
+                .histogram_snapshot(Server::kLatencyPredict)
+                .count,
             40u);
 }
 

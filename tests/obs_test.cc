@@ -82,6 +82,32 @@ TEST(HistogramTest, EmptyQuantileIsZero) {
   EXPECT_DOUBLE_EQ(histogram.TakeSnapshot().Quantile(0.5), 0.0);
 }
 
+TEST(LatencyHistogramsTest, SlotsRecordExactlyOnLatencyBuckets) {
+  // Slot 0 gets a bimodal distribution: half the samples at 600ns (bucket
+  // (500, 1000]), half at 60us (bucket (5e4, 1e5]). Slot 1 gets one sample.
+  LatencyHistograms latency(2);
+  for (int i = 0; i < 500; ++i) latency.Record(0, 600);
+  for (int i = 0; i < 500; ++i) latency.Record(0, 60000);
+  latency.Record(1, 700);
+
+  const Histogram::Snapshot bimodal = latency.histogram_snapshot(0);
+  EXPECT_EQ(bimodal.bounds, Histogram::LatencyBucketsNanos());
+  EXPECT_EQ(bimodal.count, 1000u);
+  EXPECT_DOUBLE_EQ(bimodal.sum, 500.0 * 600 + 500.0 * 60000);
+  EXPECT_DOUBLE_EQ(bimodal.max, 60000.0);
+  const double p50 = bimodal.Quantile(0.50);
+  EXPECT_GT(p50, 500.0);
+  EXPECT_LE(p50, 1000.0);
+  const double p99 = bimodal.Quantile(0.99);
+  EXPECT_GT(p99, 50000.0);
+  EXPECT_LE(p99, 100000.0);
+
+  const Histogram::Snapshot single = latency.histogram_snapshot(1);
+  EXPECT_EQ(single.count, 1u);
+  EXPECT_DOUBLE_EQ(single.sum, 700.0);
+  EXPECT_DOUBLE_EQ(single.max, 700.0);
+}
+
 // ---------------------------------------------------------------------------
 // Registry.
 

@@ -24,6 +24,7 @@
 #include "stage/calib/conformal.h"
 #include "stage/ckpt/checkpoint.h"
 #include "stage/ckpt/snapshot_file.h"
+#include "stage/common/framing.h"
 #include "stage/common/rng.h"
 #include "stage/core/stage_predictor.h"
 #include "stage/fleet/fleet.h"
@@ -238,6 +239,31 @@ TEST_F(SnapshotFuzzTest, ServiceTruncationAtEveryByteBoundary) {
   ASSERT_EQ(Fingerprint(scratch), before);
   WriteFileBytes(path, *service_bytes_);
   ASSERT_TRUE(LoadServiceSnapshot(&scratch, path));
+  EXPECT_EQ(Fingerprint(scratch), Fingerprint(*service_));
+}
+
+// The same sweep under the envelope: the raw SSRV payload, cut at every
+// byte, straight into LoadState. No CRC rejects the stream first here, so
+// only the stack's parse-everything-then-commit keeps a failed load from
+// applying its leading components (the cache sits first in the stream).
+TEST_F(SnapshotFuzzTest, ServiceRawStreamTruncationLeavesStackUntouched) {
+  const std::string payload = service_bytes_->substr(kFrameHeaderBytes);
+  const std::vector<double> fresh =
+      Fingerprint(fleet_serve::TenantStack(TinyService()));
+  fleet_serve::TenantStack scratch(TinyService());
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    std::istringstream in(payload.substr(0, cut));
+    std::string error;
+    ASSERT_FALSE(scratch.LoadState(in, &error))
+        << "truncation at byte " << cut << " was accepted";
+    ASSERT_FALSE(error.empty()) << "no error at byte " << cut;
+    ASSERT_EQ(scratch.exec_time_cache().size(), 0u)
+        << "cache applied at byte " << cut;
+    ASSERT_EQ(Fingerprint(scratch), fresh) << "state leak at byte " << cut;
+  }
+  // The whole payload still loads, bit-for-bit.
+  std::istringstream in(payload);
+  ASSERT_TRUE(scratch.LoadState(in));
   EXPECT_EQ(Fingerprint(scratch), Fingerprint(*service_));
 }
 

@@ -75,7 +75,6 @@
 #include "stage/fleet_serve/tenant_stack.h"
 #include "stage/global/global_model.h"
 #include "stage/metrics/error_metrics.h"
-#include "stage/metrics/latency_recorder.h"
 #include "stage/metrics/report.h"
 #include "stage/net/loadgen.h"
 #include "stage/net/server.h"
@@ -724,8 +723,7 @@ int RunServe(const Flags& flags) {
               contexts.size() - skip,
               static_cast<unsigned long long>(reader_predictions.load()),
               elapsed,
-              metrics::LatencyRecorder::Qps(stack->total_predictions(),
-                                            elapsed),
+              static_cast<double>(stack->total_predictions()) / elapsed,
               num_readers, stack->exec_time_cache().num_shards(),
               config.async_retrain ? "async" : "inline");
   std::printf("trainings: %d, cache hits: %llu, misses: %llu, evictions: "
@@ -869,10 +867,19 @@ int RunFleetServe(const Flags& flags) {
               static_cast<double>(service.ResidentBytes()) / (1024 * 1024),
               static_cast<unsigned long long>(service.evictions()),
               static_cast<unsigned long long>(service.cold_activations()));
-  std::printf("\n== Activation latency by source ==\n%s",
-              service.activation_latency()
-                  .RenderTable({"parked", "file", "fresh"}, elapsed)
-                  .c_str());
+  const obs::LatencyHistograms& activation = service.activation_latency();
+  std::printf(
+      "\n== Activation latency by source ==\n%s",
+      metrics::RenderLatencyTable(
+          {"parked", "file", "fresh"},
+          {activation.histogram_snapshot(
+               fleet_serve::FleetService::kActivationFromParked),
+           activation.histogram_snapshot(
+               fleet_serve::FleetService::kActivationFromFile),
+           activation.histogram_snapshot(
+               fleet_serve::FleetService::kActivationFresh)},
+          elapsed)
+          .c_str());
 
   const std::string snapshot_out = flags.GetString("out", "");
   if (!snapshot_out.empty()) {
